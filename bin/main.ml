@@ -6,6 +6,17 @@ open Cmdliner
 
 (* Shared parameter options *)
 
+(* Reservation lengths and grid bounds must be positive and finite: a
+   NaN or infinite length would grow a plan, a grid or a threshold
+   table without end. *)
+let length =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ -> Error (Printf.sprintf "expected a positive finite length, got %S" s)
+  in
+  Arg.conv' (parse, Arg.conv_printer Arg.float)
+
 let lambda_t =
   let doc = "Failure rate λ (exponential IATs; MTBF = 1/λ)." in
   Arg.(value & opt float 0.001 & info [ "lambda" ] ~docv:"RATE" ~doc)
@@ -57,11 +68,11 @@ let jobs_t =
 
 let t_step_t =
   let doc = "Reservation-length grid step override." in
-  Arg.(value & opt (some float) None & info [ "t-step" ] ~docv:"STEP" ~doc)
+  Arg.(value & opt (some length) None & info [ "t-step" ] ~docv:"STEP" ~doc)
 
 let t_max_t =
   let doc = "Largest reservation length override." in
-  Arg.(value & opt (some float) None & info [ "t-max" ] ~docv:"TMAX" ~doc)
+  Arg.(value & opt (some length) None & info [ "t-max" ] ~docv:"TMAX" ~doc)
 
 let csv_t =
   let doc = "Write the sweep data to $(docv)." in
@@ -735,7 +746,7 @@ let series_cmd =
 
 let breakdown_cmd =
   let t_t =
-    Arg.(value & opt float 500.0
+    Arg.(value & opt length 500.0
          & info [ "t"; "length" ] ~docv:"T" ~doc:"Reservation length.")
   in
   let run params quantum t seed traces strategies =
@@ -814,7 +825,7 @@ let parse_dist ~lambda spec =
 
 let renewal_cmd =
   let t_t =
-    Arg.(value & opt float 400.0
+    Arg.(value & opt length 400.0
          & info [ "t"; "length" ] ~docv:"T" ~doc:"Reservation length.")
   in
   let dist_t =
@@ -900,7 +911,7 @@ let traces_cmd =
     Arg.(value & opt int 1000 & info [ "n"; "count" ] ~docv:"N" ~doc:"Number of traces.")
   in
   let horizon_t =
-    Arg.(value & opt float 2000.0
+    Arg.(value & opt length 2000.0
          & info [ "horizon" ] ~docv:"T"
              ~doc:"Cover reservations up to this length.")
   in
@@ -1037,7 +1048,7 @@ let thresholds_cmd =
 
 let dp_cmd =
   let t_t =
-    Arg.(value & opt float 500.0
+    Arg.(value & opt length 500.0
          & info [ "t"; "length" ] ~docv:"T" ~doc:"Reservation length.")
   in
   let kmax_t =
@@ -1102,7 +1113,7 @@ let dp_cmd =
 
 let simulate_cmd =
   let t_t =
-    Arg.(value & opt float 500.0
+    Arg.(value & opt length 500.0
          & info [ "t"; "length" ] ~docv:"T" ~doc:"Reservation length.")
   in
   let run params quantum t seed traces strategies platform_events spares
@@ -1243,7 +1254,7 @@ let simulate_cmd =
 
 let replan_cmd =
   let t_t =
-    Arg.(value & opt float 800.0
+    Arg.(value & opt length 800.0
          & info [ "t"; "length" ] ~docv:"T" ~doc:"Reservation length.")
   in
   let nodes_t =
@@ -1326,7 +1337,7 @@ let replan_cmd =
 
 let predict_cmd =
   let t_t =
-    Arg.(value & opt float 800.0
+    Arg.(value & opt length 800.0
          & info [ "t"; "length" ] ~docv:"T" ~doc:"Reservation length.")
   in
   let grid_t ~name ~default ~doc =
@@ -1652,7 +1663,7 @@ let serve_cmd =
 
 let query_cmd =
   let horizon_t =
-    Arg.(value & opt float 500.0
+    Arg.(value & opt length 500.0
          & info [ "t"; "length" ] ~docv:"T"
              ~doc:"Reservation length (the horizon the DP tables cover).")
   in

@@ -568,56 +568,73 @@ let best_k t ~n ~delta =
   if n < 0 || n > t.tstar then invalid_arg "Dp: n outside [0, T*]";
   if delta then Tables.I.get t.argm1 t.kmax n else t.bestk0.(n)
 
+(* Unrolls the argmax tables from state (n, k, δ) into [p]: the
+   completion quantum of each checkpoint, as a float (exact), at most
+   [k] of them. *)
+let unroll_q t (p : Sim.Plan.t) ~n ~k ~delta =
+  Sim.Plan.reserve p k;
+  let n = ref n and k = ref k and delta = ref delta in
+  let base = ref 0 and len = ref 0 in
+  while !k > 0 do
+    let ib = Tables.I.get (if !delta then t.ib1 else t.ib0) !k !n in
+    if ib = 0 then k := 0
+    else begin
+      base := !base + ib;
+      p.offsets.(!len) <- float_of_int !base;
+      incr len;
+      n := !n - ib;
+      decr k;
+      delta := false
+    end
+  done;
+  p.len <- !len
+
 let plan_q t ~n ~k ~delta =
   check_state t ~n ~k;
-  let rec go n k delta acc base =
-    if k = 0 then List.rev acc
-    else begin
-      let ib = Tables.I.get (if delta then t.ib1 else t.ib0) k n in
-      if ib = 0 then List.rev acc
-      else go (n - ib) (k - 1) false ((base + ib) :: acc) (base + ib)
-    end
-  in
-  go n k delta [] 0
+  let p = Sim.Plan.create () in
+  unroll_q t p ~n ~k ~delta;
+  List.map int_of_float (Sim.Plan.to_list p)
 
 let policy t =
   (* Per-reservation state to recover k_remaining after a failure: the
      recursion of Equation (8) re-plans with at most as many checkpoints
-     as were still outstanding when the failure struck. *)
-  let last : (float * float list * int) option ref = ref None in
-  let to_offsets quanta = List.map (fun q -> float_of_int q *. t.u) quanta in
-  let plan ~tleft ~recovering =
+     as were still outstanding when the failure struck. [last] holds the
+     previous plan in quanta, [last_tleft.(0)] the time left it was drawn
+     at (a float array, so updating it allocates nothing). *)
+  let last = Sim.Plan.create () in
+  let last_tleft = [| 0.0 |] and last_k = ref 0 and has_last = ref false in
+  let plan (p : Sim.Plan.t) ~tleft ~recovering =
+    Sim.Plan.clear p;
     let n = clamp_n t tleft in
-    if n = 0 then []
-    else if not recovering then begin
-      let k = t.bestk0.(n) in
-      if k = 0 then []
+    let k =
+      if n = 0 then 0
+      else if not recovering then t.bestk0.(n)
       else begin
-        let offsets = to_offsets (plan_q t ~n ~k ~delta:false) in
-        last := Some (tleft, offsets, k);
-        offsets
+        let k_cap =
+          if not !has_last then t.kmax
+          else begin
+            let elapsed = last_tleft.(0) -. tleft -. t.params.Fault.Params.d in
+            let completed = ref 0 in
+            for i = 0 to last.len - 1 do
+              if last.offsets.(i) *. t.u <= elapsed +. 1e-9 then incr completed
+            done;
+            max 1 (!last_k - !completed)
+          end
+        in
+        Tables.I.get t.argm1 (min k_cap t.kmax) n
       end
-    end
-    else begin
-      let k_cap =
-        match !last with
-        | None -> t.kmax
-        | Some (prev_tleft, offsets, k_prev) ->
-            let elapsed =
-              prev_tleft -. tleft -. t.params.Fault.Params.d
-            in
-            let completed =
-              List.length (List.filter (fun o -> o <= elapsed +. 1e-9) offsets)
-            in
-            max 1 (k_prev - completed)
-      in
-      let m = Tables.I.get t.argm1 (min k_cap t.kmax) n in
-      if m = 0 then []
-      else begin
-        let offsets = to_offsets (plan_q t ~n ~k:m ~delta:true) in
-        last := Some (tleft, offsets, m);
-        offsets
-      end
+    in
+    if k > 0 then begin
+      check_state t ~n ~k;
+      unroll_q t last ~n ~k ~delta:recovering;
+      has_last := true;
+      last_tleft.(0) <- tleft;
+      last_k := k;
+      Sim.Plan.reserve p last.len;
+      for i = 0 to last.len - 1 do
+        p.offsets.(i) <- last.offsets.(i) *. t.u
+      done;
+      p.len <- last.len
     end
   in
   Sim.Policy.make ~name:"DynamicProgramming" plan

@@ -127,29 +127,44 @@ let clamp_n t tleft =
 
 let value t ~tleft = value_q t ~n:(clamp_n t tleft) ~age:0
 
+(* Unrolls the argmax tables from state (n, age, δ) into [p]: the
+   completion quantum of each checkpoint, as a float (exact). Every
+   segment spans at least one quantum, so at most [n] of them. *)
+let unroll_q t (p : Sim.Plan.t) ~n ~age ~delta =
+  Sim.Plan.clear p;
+  Sim.Plan.reserve p n;
+  (* After a recovery (age 0) the first segment comes from the
+     recovering table; every later one from the fresh table at the age
+     reached. *)
+  let i = ref (if delta then t.ir.(n) else Tables.Itri.get t.iv n age) in
+  let n = ref n and a = ref age and base = ref 0 in
+  while !i <> 0 do
+    base := !base + !i;
+    p.offsets.(p.len) <- float_of_int !base;
+    p.len <- p.len + 1;
+    n := !n - !i;
+    a := !a + !i;
+    i := Tables.Itri.get t.iv !n !a
+  done
+
 let plan_q t ~n ~age ~delta =
   check t ~n ~age;
   if delta && age <> 0 then
     invalid_arg "Dp_renewal.plan_q: recovery only happens at age 0";
-  let rec fresh n a acc base =
-    let i = Tables.Itri.get t.iv n a in
-    if i = 0 then List.rev acc
-    else fresh (n - i) (a + i) ((base + i) :: acc) (base + i)
-  in
-  if delta then begin
-    let i = t.ir.(n) in
-    if i = 0 then [] else fresh (n - i) i [ i ] i
-  end
-  else fresh n age [] 0
+  let p = Sim.Plan.create () in
+  unroll_q t p ~n ~age ~delta;
+  List.map int_of_float (Sim.Plan.to_list p)
 
 let policy t =
-  let plan ~tleft ~recovering =
+  let plan (p : Sim.Plan.t) ~tleft ~recovering =
     let n = clamp_n t tleft in
-    if n = 0 then []
-    else
-      List.map
-        (fun q -> float_of_int q *. t.u)
-        (plan_q t ~n ~age:0 ~delta:recovering)
+    if n = 0 then Sim.Plan.clear p
+    else begin
+      unroll_q t p ~n ~age:0 ~delta:recovering;
+      for i = 0 to p.len - 1 do
+        p.offsets.(i) <- p.offsets.(i) *. t.u
+      done
+    end
   in
   Sim.Policy.make ~name:"RenewalDP" plan
 

@@ -117,10 +117,11 @@ let policy_value_grids ~params ~quantum ~horizon ~policy =
   let p = Array.init (n + 2) (fun f -> psucc_q (f - 1) -. psucc_q f) in
   let v0 = Array.make (n + 1) 0.0 in
   let v1 = Array.make (n + 1) 0.0 in
+  let buf = Sim.Plan.create () in
   let eval ~recovering ~store i =
     let tleft = float_of_int i *. h in
-    let offsets = policy.Sim.Policy.plan ~tleft ~recovering in
-    Sim.Policy.validate_plan ~params ~tleft ~recovering offsets;
+    Sim.Policy.query policy buf ~params ~tleft ~recovering;
+    let offsets = Sim.Plan.to_list buf in
     match offsets with
     | [] -> ()
     | _ ->

@@ -81,23 +81,42 @@ let clamp_n t tleft =
 
 let value t ~tleft = value_q t ~n:(clamp_n t tleft) ~delta:false
 
+(* Unrolls the argmax tables from state (n, δ) into [p]: the completion
+   quantum of each checkpoint, as a float (exact). Every segment spans
+   at least one quantum, so at most [n] of them. *)
+let unroll_q t (p : Sim.Plan.t) ~n ~delta =
+  Sim.Plan.clear p;
+  Sim.Plan.reserve p n;
+  let n = ref n and delta = ref delta and base = ref 0 in
+  let go = ref true in
+  while !go do
+    let i = (if !delta then t.i1 else t.i0).(!n) in
+    if i = 0 then go := false
+    else begin
+      base := !base + i;
+      p.offsets.(p.len) <- float_of_int !base;
+      p.len <- p.len + 1;
+      n := !n - i;
+      delta := false
+    end
+  done
+
 let plan_q t ~n ~delta =
   check_n t n;
-  let rec go n delta acc base =
-    let i = (if delta then t.i1 else t.i0).(n) in
-    if i = 0 then List.rev acc
-    else go (n - i) false ((base + i) :: acc) (base + i)
-  in
-  go n delta [] 0
+  let p = Sim.Plan.create () in
+  unroll_q t p ~n ~delta;
+  List.map int_of_float (Sim.Plan.to_list p)
 
 let policy t =
-  let plan ~tleft ~recovering =
+  let plan (p : Sim.Plan.t) ~tleft ~recovering =
     let n = clamp_n t tleft in
-    if n = 0 then []
-    else
-      List.map
-        (fun q -> float_of_int q *. t.u)
-        (plan_q t ~n ~delta:recovering)
+    if n = 0 then Sim.Plan.clear p
+    else begin
+      unroll_q t p ~n ~delta:recovering;
+      for i = 0 to p.len - 1 do
+        p.offsets.(i) <- p.offsets.(i) *. t.u
+      done
+    end
   in
   Sim.Policy.make ~name:"OptimalUnrestricted" plan
 

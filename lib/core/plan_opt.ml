@@ -134,28 +134,35 @@ let variable_segments_policy ~params ~horizon ~dp =
   in
   (* Memoise per (quantised tleft, recovering): simulations query the
      same states over and over. *)
-  let cache : (int * bool, float list) Hashtbl.t = Hashtbl.create 256 in
-  let plan ~tleft ~recovering =
+  let cache : (int * bool, float array) Hashtbl.t = Hashtbl.create 256 in
+  let plan (p : Sim.Plan.t) ~tleft ~recovering =
     let key = (int_of_float (floor (tleft /. u +. 1e-9)), recovering) in
-    match Hashtbl.find_opt cache key with
-    | Some plan ->
-        (* cached plans were computed for the quantised tleft, which is
-           never larger than the true one: always feasible *)
-        plan
-    | None ->
-        let qtleft = float_of_int (fst key) *. u in
-        let span =
-          if recovering then qtleft -. params.Fault.Params.r else qtleft
-        in
-        let result =
-          if span < params.Fault.Params.c then []
-          else begin
-            let k = Threshold.segments_for table ~tleft:span in
-            (optimize ~params ~tleft:qtleft ~recovering ~k ~continuation ())
-              .offsets
-          end
-        in
-        Hashtbl.replace cache key result;
-        result
+    let offsets =
+      match Hashtbl.find_opt cache key with
+      | Some offsets ->
+          (* cached plans were computed for the quantised tleft, which
+             is never larger than the true one: always feasible *)
+          offsets
+      | None ->
+          let qtleft = float_of_int (fst key) *. u in
+          let span =
+            if recovering then qtleft -. params.Fault.Params.r else qtleft
+          in
+          let offsets =
+            if span < params.Fault.Params.c then [||]
+            else begin
+              let k = Threshold.segments_for table ~tleft:span in
+              Array.of_list
+                (optimize ~params ~tleft:qtleft ~recovering ~k ~continuation ())
+                  .offsets
+            end
+          in
+          Hashtbl.replace cache key offsets;
+          offsets
+    in
+    let n = Array.length offsets in
+    Sim.Plan.reserve p n;
+    Array.blit offsets 0 p.offsets 0 n;
+    p.len <- n
   in
   Sim.Policy.make ~name:"VariableSegments" plan

@@ -13,15 +13,15 @@ let lambert_optimal_period ~params =
     (Sim.Policy.periodic ~params ~period:(Model.optimal_period params))
 
 let of_threshold_table ~name ~params table =
-  let plan ~tleft ~recovering =
+  let plan p ~tleft ~recovering =
     let span =
       if recovering then tleft -. params.Fault.Params.r else tleft
     in
-    if span < params.Fault.Params.c then []
+    if span < params.Fault.Params.c then Sim.Plan.clear p
     else begin
       let count = Threshold.segments_for table ~tleft:span in
-      (Sim.Policy.equal_segments ~params ~count).Sim.Policy.plan ~tleft
-        ~recovering
+      if count < 1 then invalid_arg "Policies.of_threshold_table: count < 1";
+      Sim.Policy.equal_plan ~params ~count p ~tleft ~recovering
     end
   in
   Sim.Policy.make ~name plan

@@ -1,26 +1,22 @@
 let with_slack ~params ~slack policy =
   if slack < 0.0 then invalid_arg "Slack.with_slack: negative slack";
   let c = params.Fault.Params.c and r = params.Fault.Params.r in
-  let plan ~tleft ~recovering =
-    match policy.Sim.Policy.plan ~tleft ~recovering with
-    | [] -> []
-    | offsets ->
-        let rec shift = function
-          | [] -> []
-          | [ last ] ->
-              (* keep the final segment long enough for its checkpoint *)
-              let base = if recovering then r else 0.0 in
-              let floor_ = base +. c in
-              [ Float.max floor_ (last -. slack) ]
-          | prev :: (_ :: _ as rest) -> (
-              match shift rest with
-              | [ shifted ] when shifted < prev +. c ->
-                  (* the shifted final checkpoint collided with its
-                     predecessor: clamp against it instead *)
-                  prev :: [ Float.max (prev +. c) shifted ]
-              | shifted -> prev :: shifted)
-        in
-        shift offsets
+  let plan (p : Sim.Plan.t) ~tleft ~recovering =
+    policy.Sim.Policy.plan p ~tleft ~recovering;
+    let n = p.len in
+    if n > 0 then begin
+      (* keep the final segment long enough for its checkpoint *)
+      let base = if recovering then r else 0.0 in
+      let last = Float.max (base +. c) (p.offsets.(n - 1) -. slack) in
+      (* if the shifted final checkpoint collides with its predecessor,
+         clamp against it instead *)
+      let last =
+        if n >= 2 && last < p.offsets.(n - 2) +. c then
+          Float.max (p.offsets.(n - 2) +. c) last
+        else last
+      in
+      p.offsets.(n - 1) <- last
+    end
   in
   Sim.Policy.make
     ~name:(Printf.sprintf "%s+slack(%g)" policy.Sim.Policy.name slack)

@@ -83,7 +83,8 @@ let threshold_numerical ?t_prev ~params n =
 type table = { thresholds : float array }
 
 let build_table ~up_to next =
-  if up_to < 0.0 then invalid_arg "Threshold: up_to < 0";
+  if not (Float.is_finite up_to && up_to >= 0.0) then
+    invalid_arg "Threshold: up_to must be finite and >= 0";
   let rec go acc t_prev n =
     let t_next = next ~t_prev ~n in
     if t_next > up_to then List.rev acc

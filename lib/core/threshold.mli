@@ -41,7 +41,8 @@ type table = { thresholds : float array }
 val table_numerical : params:Fault.Params.t -> up_to:float -> table
 val table_first_order : params:Fault.Params.t -> up_to:float -> table
 (** Threshold tables containing every [T_n <= up_to] (plus the sentinel
-    [T_1 = 0]). *)
+    [T_1 = 0]). Raises [Invalid_argument] unless [up_to] is finite and
+    nonnegative. *)
 
 val segments_for : table -> tleft:float -> int
 (** The number [n >= 1] of checkpoints to provision for a remaining

@@ -168,11 +168,13 @@ let scale ?n_traces ?t_step ?t_max spec =
     match t_step with
     | None -> spec
     | Some s ->
-        if s <= 0.0 then invalid_arg "Figures.scale: t_step <= 0";
+        if not (Float.is_finite s && s > 0.0) then
+          invalid_arg "Figures.scale: t_step must be finite and > 0";
         { spec with Spec.t_step = s }
   in
   match t_max with
   | None -> spec
   | Some m ->
-      if m <= 0.0 then invalid_arg "Figures.scale: t_max <= 0";
+      if not (Float.is_finite m && m > 0.0) then
+        invalid_arg "Figures.scale: t_max must be finite and > 0";
       { spec with Spec.t_max = m }

@@ -21,4 +21,6 @@ val ids : string list
 
 val scale : ?n_traces:int -> ?t_step:float -> ?t_max:float -> Spec.t -> Spec.t
 (** Override campaign sizes (fewer traces / coarser grid) while keeping
-    the physics of the spec. *)
+    the physics of the spec. Raises [Invalid_argument] unless
+    [n_traces >= 1] and [t_step], [t_max] are finite and positive (a
+    non-finite grid bound would never end). *)

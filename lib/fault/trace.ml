@@ -243,19 +243,3 @@ let platform_batch ~model ~rate ~d ~horizon ~seed ~n =
   Array.init n (fun _ ->
       let sub = Numerics.Rng.split master in
       platform_with_rng sub ~model ~rate ~d ~horizon)
-
-type cursor = {
-  trace : t;
-  mutable index : int;  (* next failure not yet consumed *)
-  mutable clock : float;  (* exposed time of failure [index] *)
-}
-
-let cursor trace = { trace; index = 0; clock = iat trace 0 }
-
-let next_failure_exposed cur = cur.clock
-
-let consume cur =
-  cur.index <- cur.index + 1;
-  cur.clock <- cur.clock +. iat cur.trace cur.index
-
-let failures_seen cur = cur.index

@@ -127,22 +127,3 @@ val platform_batch :
 (** [n] independent platform histories derived from [seed], same
     convention as {!batch}: history [i] is identical across calls with
     the same arguments. *)
-
-(** {2 Cursors}
-
-    A cursor walks one trace during one simulated reservation, converting
-    IATs into absolute failure dates on the exposed-time clock. *)
-
-type cursor
-
-val cursor : t -> cursor
-(** Fresh cursor positioned before the first failure. *)
-
-val next_failure_exposed : cursor -> float
-(** Absolute exposed time of the next failure (without consuming it). *)
-
-val consume : cursor -> unit
-(** Mark the next failure as having struck; subsequent
-    [next_failure_exposed] returns the following failure date. *)
-
-val failures_seen : cursor -> int

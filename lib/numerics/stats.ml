@@ -191,19 +191,27 @@ module P2 = struct
     else t.heights.(2)
 end
 
-let quantile xs ~q =
+let quantiles xs ~qs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.quantile: empty array";
-  if q < 0.0 || q > 1.0 then invalid_arg "Stats.quantile: q outside [0, 1]";
+  Array.iter
+    (fun q ->
+      if q < 0.0 || q > 1.0 then invalid_arg "Stats.quantile: q outside [0, 1]")
+    qs;
   let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let pos = q *. float_of_int (n - 1) in
-  let lo = int_of_float (floor pos) in
-  let hi = int_of_float (ceil pos) in
-  if lo = hi then sorted.(lo)
-  else begin
-    let w = pos -. float_of_int lo in
-    ((1.0 -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
-  end
+  Array.sort Float.compare sorted;
+  Array.map
+    (fun q ->
+      let pos = q *. float_of_int (n - 1) in
+      let lo = int_of_float (floor pos) in
+      let hi = int_of_float (ceil pos) in
+      if lo = hi then sorted.(lo)
+      else begin
+        let w = pos -. float_of_int lo in
+        ((1.0 -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
+      end)
+    qs
+
+let quantile xs ~q = (quantiles xs ~qs:[| q |]).(0)
 
 let median xs = quantile xs ~q:0.5

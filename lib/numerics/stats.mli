@@ -62,4 +62,9 @@ val quantile : float array -> q:float -> float
 (** [quantile xs ~q] with [0 <= q <= 1], linear interpolation between
     order statistics (type-7). Does not modify [xs]. *)
 
+val quantiles : float array -> qs:float array -> float array
+(** [quantiles xs ~qs] is [Array.map (fun q -> quantile xs ~q) qs],
+    read off one sorted copy of [xs] instead of one per quantile.
+    Does not modify [xs]. *)
+
 val median : float array -> float

@@ -29,18 +29,35 @@ type outcome = {
   events : event list;
 }
 
+(* One plan buffer per domain, handed to every re-plan of every run on
+   it. [busy] covers a nested run on the same domain (a hook that itself
+   simulates, or a systhread switch mid-run): that run plans into a
+   buffer of its own. *)
+type slot = { buf : Plan.t; mutable busy : bool }
+
+let slot_key =
+  Domain.DLS.new_key (fun () -> { buf = Plan.create (); busy = false })
+
 (* The engine keeps two clocks:
    - [wall]: elapsed reservation time;
    - [exposed]: elapsed failure-exposed time (wall minus downtimes).
-   Failure dates from the trace cursor live on the exposed clock, so a
-   failure never strikes during a downtime, as the model requires.
-   Platform events live on the wall clock: one that lands inside a
-   downtime window takes effect at the re-plan that follows it.
-   Predicted events live on the exposed clock like the failures they
-   announce: a prediction cannot fire during a downtime. *)
-let run ?(record = false) ?ckpt_sampler ?platform ?predictions ?proactive_c
+   Failure dates live on the exposed clock, so a failure never strikes
+   during a downtime, as the model requires. Platform events live on the
+   wall clock: one that lands inside a downtime window takes effect at
+   the re-plan that follows it. Predicted events live on the exposed
+   clock like the failures they announce: a prediction cannot fire
+   during a downtime.
+
+   The three event sources are plain cursors: the next failure date and
+   its index into the trace, and the unconsumed suffixes of the two
+   sorted event lists (an event at or past the horizon ends its list —
+   it can never matter). The run is one loop without local closures, so
+   every float of its state stays unboxed; it allocates only when a
+   failure strikes (the trace hands back the next inter-arrival time),
+   when a policy is queried (its boxed [tleft]), and when recording
+   events. *)
+let replay buf ~record ~ckpt_sampler ~platform ~predictions ~proactive_c
     ~params ~horizon ~policy trace =
-  if horizon < 0.0 then invalid_arg "Engine.run: negative horizon";
   let c = params.Fault.Params.c
   and r = params.Fault.Params.r
   and d = params.Fault.Params.d in
@@ -60,27 +77,17 @@ let run ?(record = false) ?ckpt_sampler ?platform ?predictions ?proactive_c
         Fault.Trace.validate_platform_events p.events;
         p.initial
   in
-  (* Events at or past the horizon can never re-plan anything. *)
-  let pending =
-    ref
-      (match platform with
-      | None -> []
-      | Some p ->
-          List.filter (fun e -> Fault.Trace.event_at e < horizon) p.events)
-  in
-  (* Like platform events: predictions at or past the horizon can never
-     matter (the fault they announce cannot strike inside the run). *)
+  let pending = ref (match platform with None -> [] | Some p -> p.events) in
   let pq =
     ref
       (match predictions with
       | None -> []
       | Some evs ->
           Fault.Predictor.validate_events evs;
-          List.filter
-            (fun (ev : Fault.Predictor.event) -> ev.Fault.Predictor.at < horizon)
-            evs)
+          evs)
   in
-  let cur = Fault.Trace.cursor trace in
+  let fail_index = ref 0 in
+  let next_fail = ref (Fault.Trace.iat trace 0) in
   let wall = ref 0.0 and exposed = ref 0.0 in
   let saved = ref 0.0 and ckpts = ref 0 and fails = ref 0 and replans = ref 0 in
   let replans_platform = ref 0 in
@@ -90,228 +97,239 @@ let run ?(record = false) ?ckpt_sampler ?platform ?predictions ?proactive_c
   let b_ckpt = ref 0.0 and b_recov = ref 0.0 and b_down = ref 0.0 in
   let b_lost = ref 0.0 in
   let events = ref [] in
-  let push e = if record then events := e :: !events in
-  let draw_ckpt () = match ckpt_sampler with None -> c | Some f -> f () in
   let finished = ref false in
   while not !finished do
     (* Platform events due by now (including any that landed during the
        last downtime) take effect before the next plan is drawn: the
        params are degraded to the surviving node count and an adaptive
        policy re-compiles itself against them. *)
-    (let rec take () =
-       match !pending with
-       | e :: rest when Fault.Trace.event_at e <= !wall ->
-           pending := rest;
-           let survivors = Fault.Trace.event_survivors e in
-           incr replans_platform;
-           push
-             (Platform_change { at = Fault.Trace.event_at e; survivors });
-           (match !cur_policy.Policy.adapt with
-           | Some f ->
-               cur_policy := f (Fault.Params.degrade params ~initial ~survivors)
-           | None -> ());
-           take ()
-       | _ -> ()
-     in
-     take ());
-    let tleft = horizon -. !wall in
-    let plan = !cur_policy.Policy.plan ~tleft ~recovering:!recovering in
+    let taking = ref true in
+    while !taking do
+      match !pending with
+      | e :: rest
+        when Fault.Trace.event_at e < horizon && Fault.Trace.event_at e <= !wall
+        ->
+          pending := rest;
+          let survivors = Fault.Trace.event_survivors e in
+          incr replans_platform;
+          if record then
+            events :=
+              Platform_change { at = Fault.Trace.event_at e; survivors }
+              :: !events;
+          (match !cur_policy.Policy.adapt with
+          | Some f ->
+              cur_policy := f (Fault.Params.degrade params ~initial ~survivors)
+          | None -> ())
+      | _ -> taking := false
+    done;
+    Policy.query !cur_policy buf ~params ~tleft:(horizon -. !wall)
+      ~recovering:!recovering;
     incr replans;
-    Policy.validate_plan ~params ~tleft ~recovering:!recovering plan;
-    (match plan with
-    | [] ->
-        push (Gave_up { at = !wall });
-        finished := true
-    | offsets ->
-        let plan_start_wall = !wall in
-        let committed_wall = ref !wall in
-        let first_overhead = if !recovering then r else 0.0 in
-        (* [shift] accumulates the deviation of actual checkpoint
-           durations from the nominal C (stochastic-checkpoint mode;
-           zero otherwise). *)
-        let rec walk prev_off shift segs ~first =
-          match segs with
-          | [] -> finished := true
-          | off :: rest -> (
-              let nominal_len = off -. prev_off in
-              let actual_c = draw_ckpt () in
-              let shift' = shift +. (actual_c -. c) in
-              let seg_len = nominal_len +. (shift' -. shift) in
-              let completion_wall = plan_start_wall +. off +. shift' in
-              let seg_end_e = !exposed +. seg_len in
-              (* Ignored predictions cost no time, so the segment is
-                 re-attempted with the same clocks and the same drawn
-                 checkpoint duration until something observable happens. *)
-              let rec attempt () =
-              let fail_e = Fault.Trace.next_failure_exposed cur in
-              let fail_wall = !wall +. (fail_e -. !exposed) in
-              let next_event_wall =
-                match !pending with
-                | [] -> infinity
-                | e :: _ -> Fault.Trace.event_at e
+    if buf.Plan.len = 0 then begin
+      if record then events := Gave_up { at = !wall } :: !events;
+      finished := true
+    end
+    else begin
+      let plan_start_wall = !wall in
+      let committed_wall = ref !wall in
+      let first_overhead = if !recovering then r else 0.0 in
+      (* Walk the plan's segments. [shift] accumulates the deviation of
+         actual checkpoint durations from the nominal C
+         (stochastic-checkpoint mode; zero otherwise). *)
+      let seg = ref 0 and prev_off = ref 0.0 and shift = ref 0.0 in
+      let walking = ref true in
+      while !walking do
+        if !seg = buf.Plan.len then begin
+          finished := true;
+          walking := false
+        end
+        else begin
+          let first = !seg = 0 in
+          let off = buf.Plan.offsets.(!seg) in
+          let nominal_len = off -. !prev_off in
+          let actual_c = match ckpt_sampler with None -> c | Some f -> f () in
+          let shift' = !shift +. (actual_c -. c) in
+          let seg_len = nominal_len +. (shift' -. !shift) in
+          let completion_wall = plan_start_wall +. off +. shift' in
+          let seg_end_e = !exposed +. seg_len in
+          (* Ignored predictions cost no time, so the segment is
+             re-attempted with the same clocks and the same drawn
+             checkpoint duration until something observable happens. *)
+          let attempting = ref true in
+          while !attempting do
+            attempting := false;
+            walking := false;
+            let fail_e = !next_fail in
+            let fail_wall = !wall +. (fail_e -. !exposed) in
+            let next_event_wall =
+              match !pending with
+              | e :: _ when Fault.Trace.event_at e < horizon ->
+                  Fault.Trace.event_at e
+              | _ -> infinity
+            in
+            (* An overdue prediction (announced before the clocks got
+               here, e.g. clamped to 0 or landed inside a downtime) fires
+               immediately. *)
+            let pred_e =
+              match !pq with
+              | ev :: _ when ev.Fault.Predictor.at < horizon ->
+                  Float.max ev.Fault.Predictor.at !exposed
+              | _ -> infinity
+            in
+            let pred_wall = !wall +. (pred_e -. !exposed) in
+            let strike = ref false in
+            if
+              next_event_wall < fail_wall
+              && next_event_wall < completion_wall
+              && next_event_wall <= pred_wall
+            then begin
+              (* A platform event interrupts the plan before this
+                 checkpoint completes (and before the next failure):
+                 advance both clocks to the event and fall back to the
+                 re-planning loop, which consumes it. The in-flight span
+                 since the last commit is abandoned — it lands in the
+                 [unused] share. *)
+              let delta = Float.max 0.0 (next_event_wall -. !wall) in
+              wall := !wall +. delta;
+              exposed := !exposed +. delta
+            end
+            else if pred_e < fail_e && pred_wall < completion_wall then begin
+              (* A prediction fires before this checkpoint completes and
+                 before the next failure. The policy's hook never sees
+                 [true_positive] — there is no oracle. *)
+              let ev = List.hd !pq in
+              pq := List.tl !pq;
+              let true_positive = ev.Fault.Predictor.true_positive in
+              if true_positive then incr preds_true else incr preds_false;
+              if record then
+                events :=
+                  Prediction { at = pred_wall; true_positive } :: !events;
+              let since_commit = pred_wall -. !committed_wall in
+              let overhead = if first then first_overhead else 0.0 in
+              (* The bankable work: what has elapsed since the last
+                 commit, net of the initial recovery, capped by the
+                 segment's work share (a prediction landing inside the
+                 in-flight nominal checkpoint cannot bank checkpoint time
+                 as work — the excess is abandoned into [unused]). *)
+              let seg_work = Float.max 0.0 (seg_len -. actual_c -. overhead) in
+              let work =
+                Float.min (Float.max 0.0 (since_commit -. overhead)) seg_work
               in
-              (* An overdue prediction (announced before the clocks got
-                 here, e.g. clamped to 0 or landed inside a downtime)
-                 fires immediately. *)
-              let pred_e =
-                match !pq with
-                | [] -> infinity
-                | ev :: _ -> Float.max ev.Fault.Predictor.at !exposed
+              let take =
+                work > 0.0
+                && pred_wall +. cp <= horizon
+                &&
+                match !cur_policy.Policy.on_prediction with
+                | None -> false
+                | Some f ->
+                    f ~tleft:(horizon -. pred_wall) ~since_commit
+                      ~window:ev.Fault.Predictor.window
               in
-              let pred_wall = !wall +. (pred_e -. !exposed) in
-              if
-                next_event_wall < fail_wall
-                && next_event_wall < completion_wall
-                && next_event_wall <= pred_wall
-              then begin
-                (* A platform event interrupts the plan before this
-                   checkpoint completes (and before the next failure):
-                   advance both clocks to the event and fall back to the
-                   re-planning loop, which consumes it. The in-flight
-                   span since the last commit is abandoned — it lands in
-                   the [unused] share. *)
-                let delta = Float.max 0.0 (next_event_wall -. !wall) in
-                wall := !wall +. delta;
-                exposed := !exposed +. delta
-              end
-              else if pred_e < fail_e && pred_wall < completion_wall then begin
-                (* A prediction fires before this checkpoint completes
-                   and before the next failure. The policy's hook never
-                   sees [true_positive] — there is no oracle. *)
-                let ev = List.hd !pq in
-                pq := List.tl !pq;
-                if ev.Fault.Predictor.true_positive then incr preds_true
-                else incr preds_false;
-                push
-                  (Prediction
-                     { at = pred_wall;
-                       true_positive = ev.Fault.Predictor.true_positive });
-                let since_commit = pred_wall -. !committed_wall in
-                let overhead = if first then first_overhead else 0.0 in
-                (* The bankable work: what has elapsed since the last
-                   commit, net of the initial recovery, capped by the
-                   segment's work share (a prediction landing inside the
-                   in-flight nominal checkpoint cannot bank checkpoint
-                   time as work — the excess is abandoned into
-                   [unused]). *)
-                let seg_work = Float.max 0.0 (seg_len -. actual_c -. overhead) in
-                let work =
-                  Float.min (Float.max 0.0 (since_commit -. overhead)) seg_work
-                in
-                let take =
-                  work > 0.0
-                  && pred_wall +. cp <= horizon
-                  &&
-                  match !cur_policy.Policy.on_prediction with
-                  | None -> false
-                  | Some f ->
-                      f ~tleft:(horizon -. pred_wall) ~since_commit
-                        ~window:ev.Fault.Predictor.window
-                in
-                if not take then
-                  (* Ignored (by the policy, or nothing to bank, or no
-                     room left): zero time cost, same segment again. *)
-                  attempt ()
-                else begin
-                  (* Proactive checkpoint: advance to the firing instant
-                     and checkpoint for [cp], exposed to failures. *)
-                  let delta = pred_e -. !exposed in
-                  wall := !wall +. delta;
-                  exposed := pred_e;
-                  let ckpt_end_e = !exposed +. cp in
-                  if fail_e < ckpt_end_e then begin
-                    (* The announced (or another) fault strikes before
-                       the proactive checkpoint completes: everything
-                       since the last commit is lost, as usual. *)
-                    let delta = fail_e -. !exposed in
-                    wall := !wall +. delta;
-                    exposed := fail_e;
-                    Fault.Trace.consume cur;
-                    incr fails;
-                    let lost = !wall -. !committed_wall in
-                    b_lost := !b_lost +. lost;
-                    push (Failure { at = !wall; lost });
-                    b_down :=
-                      !b_down +. Float.max 0.0 (Float.min d (horizon -. !wall));
-                    wall := !wall +. d;
-                    recovering := true;
-                    if horizon -. !wall < r +. c then finished := true
-                  end
-                  else begin
-                    wall := !wall +. cp;
-                    exposed := ckpt_end_e;
-                    saved := !saved +. work;
-                    b_ckpt := !b_ckpt +. cp;
-                    if first then begin
-                      (* [work > 0] implies the initial recovery fully
-                         elapsed before the prediction fired; commit it
-                         with this checkpoint. *)
-                      b_recov := !b_recov +. first_overhead;
-                      recovering := false
-                    end;
-                    incr ckpts;
-                    incr proactive;
-                    push
-                      (Segment_saved
-                         { start = !committed_wall; finish = !wall; work });
-                    committed_wall := !wall;
-                    (* Abandon the rest of the plan and fall back to the
-                       re-planning loop: the policy re-plans the
-                       remaining horizon from the fresh commit. *)
-                    ()
-                  end
-                end
-              end
-              else if fail_e < seg_end_e then begin
-                (* Failure strikes before this checkpoint completes. *)
-                let delta = fail_e -. !exposed in
-                wall := !wall +. delta;
-                exposed := fail_e;
-                Fault.Trace.consume cur;
-                incr fails;
-                let lost = !wall -. !committed_wall in
-                b_lost := !b_lost +. lost;
-                push (Failure { at = !wall; lost });
-                (* A stochastic-checkpoint shift can push [wall] past the
-                   horizon before the failure strikes; the downtime share
-                   is then empty, not negative. *)
-                b_down := !b_down +. Float.max 0.0 (Float.min d (horizon -. !wall));
-                wall := !wall +. d;
-                recovering := true;
-                if horizon -. !wall < r +. c then finished := true
-              end
-              else if completion_wall > horizon then begin
-                (* Stochastic checkpoint overran the reservation: this
-                   checkpoint (and a fortiori the following ones) can no
-                   longer complete. *)
-                push (Gave_up { at = horizon });
-                finished := true
+              if not take then begin
+                (* Ignored (by the policy, or nothing to bank, or no room
+                   left): zero time cost, same segment again. *)
+                attempting := true;
+                walking := true
               end
               else begin
-                let overhead = actual_c +. (if first then first_overhead else 0.0) in
-                let work = Float.max 0.0 (seg_len -. overhead) in
-                saved := !saved +. work;
-                b_ckpt := !b_ckpt +. actual_c;
-                if first then begin
-                  b_recov := !b_recov +. first_overhead;
-                  (* The recovery (if any) is committed with the first
-                     checkpoint: a plan started by a later platform
-                     event continues from here without re-recovering. *)
-                  recovering := false
-                end;
-                incr ckpts;
-                wall := !wall +. seg_len;
-                committed_wall := !wall;
-                exposed := seg_end_e;
-                push
-                  (Segment_saved
-                     { start = !wall -. seg_len; finish = !wall; work });
-                walk off shift' rest ~first:false
+                (* Proactive checkpoint: advance to the firing instant and
+                   checkpoint for [cp], exposed to failures. *)
+                let delta = pred_e -. !exposed in
+                wall := !wall +. delta;
+                exposed := pred_e;
+                let ckpt_end_e = !exposed +. cp in
+                if fail_e < ckpt_end_e then
+                  (* The announced (or another) fault strikes before the
+                     proactive checkpoint completes. *)
+                  strike := true
+                else begin
+                  wall := !wall +. cp;
+                  exposed := ckpt_end_e;
+                  saved := !saved +. work;
+                  b_ckpt := !b_ckpt +. cp;
+                  if first then begin
+                    (* [work > 0] implies the initial recovery fully
+                       elapsed before the prediction fired; commit it with
+                       this checkpoint. *)
+                    b_recov := !b_recov +. first_overhead;
+                    recovering := false
+                  end;
+                  incr ckpts;
+                  incr proactive;
+                  if record then
+                    events :=
+                      Segment_saved
+                        { start = !committed_wall; finish = !wall; work }
+                      :: !events;
+                  (* The rest of the plan is abandoned: the policy
+                     re-plans the remaining horizon from the fresh
+                     commit. *)
+                  committed_wall := !wall
+                end
               end
+            end
+            else if fail_e < seg_end_e then
+              (* Failure strikes before this checkpoint completes. *)
+              strike := true
+            else if completion_wall > horizon then begin
+              (* Stochastic checkpoint overran the reservation: this
+                 checkpoint (and a fortiori the following ones) can no
+                 longer complete. *)
+              if record then events := Gave_up { at = horizon } :: !events;
+              finished := true
+            end
+            else begin
+              let overhead =
+                actual_c +. if first then first_overhead else 0.0
               in
-              attempt ())
-        in
-        walk 0.0 0.0 offsets ~first:true)
+              let work = Float.max 0.0 (seg_len -. overhead) in
+              saved := !saved +. work;
+              b_ckpt := !b_ckpt +. actual_c;
+              if first then begin
+                b_recov := !b_recov +. first_overhead;
+                (* The recovery (if any) is committed with the first
+                   checkpoint: a plan started by a later platform event
+                   continues from here without re-recovering. *)
+                recovering := false
+              end;
+              incr ckpts;
+              wall := !wall +. seg_len;
+              committed_wall := !wall;
+              exposed := seg_end_e;
+              if record then
+                events :=
+                  Segment_saved
+                    { start = !wall -. seg_len; finish = !wall; work }
+                  :: !events;
+              prev_off := off;
+              shift := shift';
+              incr seg;
+              walking := true
+            end;
+            if !strike then begin
+              (* Everything since the last commit is lost. *)
+              let delta = fail_e -. !exposed in
+              wall := !wall +. delta;
+              exposed := fail_e;
+              incr fail_index;
+              next_fail := !next_fail +. Fault.Trace.iat trace !fail_index;
+              incr fails;
+              let lost = !wall -. !committed_wall in
+              b_lost := !b_lost +. lost;
+              if record then events := Failure { at = !wall; lost } :: !events;
+              (* A stochastic-checkpoint shift can push [wall] past the
+                 horizon before the failure strikes; the downtime share
+                 is then empty, not negative. *)
+              b_down :=
+                !b_down +. Float.max 0.0 (Float.min d (horizon -. !wall));
+              wall := !wall +. d;
+              recovering := true;
+              if horizon -. !wall < r +. c then finished := true
+            end
+          done
+        end
+      done
+    end
   done;
   let breakdown =
     let accounted = !saved +. !b_ckpt +. !b_recov +. !b_down +. !b_lost in
@@ -349,6 +367,26 @@ let run ?(record = false) ?ckpt_sampler ?platform ?predictions ?proactive_c
     breakdown;
     events = List.rev !events;
   }
+
+let run ?(record = false) ?ckpt_sampler ?platform ?predictions ?proactive_c
+    ~params ~horizon ~policy trace =
+  (* A non-finite horizon would have the periodic plans grow forever. *)
+  if not (Float.is_finite horizon) then
+    invalid_arg "Engine.run: horizon must be finite";
+  if horizon < 0.0 then invalid_arg "Engine.run: negative horizon";
+  let slot = Domain.DLS.get slot_key in
+  let buf = if slot.busy then Plan.create () else slot.buf in
+  slot.busy <- true;
+  match
+    replay buf ~record ~ckpt_sampler ~platform ~predictions ~proactive_c
+      ~params ~horizon ~policy trace
+  with
+  | outcome ->
+      if buf == slot.buf then slot.busy <- false;
+      outcome
+  | exception e ->
+      if buf == slot.buf then slot.busy <- false;
+      raise e
 
 let proportion_of_work ~params ~horizon outcome =
   let c = params.Fault.Params.c in

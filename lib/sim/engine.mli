@@ -75,7 +75,8 @@ val run :
   Fault.Trace.t ->
   outcome
 (** [run ~params ~horizon ~policy trace] simulates the full reservation
-    of length [horizon].
+    of length [horizon], which must be finite and nonnegative
+    ([Invalid_argument] otherwise).
 
     [ckpt_sampler], when given, draws the {e actual} duration of each
     checkpoint as it starts (stochastic-checkpoint extension); the policy

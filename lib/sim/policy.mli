@@ -2,9 +2,21 @@
 
     A policy is queried at the start of the reservation and again after
     every failure (once downtime has elapsed). Given the time left [tleft]
-    and whether the execution must begin with a recovery, it returns its
-    {e failure-free plan}: the increasing list of instants (offsets from
-    now) at which its checkpoints would {e complete} if no failure struck.
+    and whether the execution must begin with a recovery, it writes its
+    {e failure-free plan} into the {!Plan.t} buffer it is handed: the
+    increasing instants (offsets from now) at which its checkpoints would
+    {e complete} if no failure struck.
+
+    {b The buffer contract.} The caller owns the buffer. A query
+    overwrites it completely (an empty plan is [len = 0]), and its
+    contents are valid until the next query that writes into the same
+    buffer. A policy keeps no reference to the buffer: state it needs
+    across queries (the DP's outstanding-checkpoint count) lives in the
+    policy itself, and a wrapper (slack) may rewrite the plan its inner
+    policy wrote. The engine hands every query of every reservation on a
+    domain the same buffer and validates each plan in full before
+    replaying it ({!query}), so a policy that writes a malformed plan is
+    rejected, never silently replayed.
 
     A well-formed plan for [(tleft, recovering)] satisfies, with
     [base = if recovering then r else 0]:
@@ -18,7 +30,8 @@
 
 type t = {
   name : string;
-  plan : tleft:float -> recovering:bool -> float list;
+  plan : Plan.t -> tleft:float -> recovering:bool -> unit;
+      (** [plan buf ~tleft ~recovering] writes the plan into [buf]. *)
   adapt : (Fault.Params.t -> t) option;
       (** How this policy reacts to a platform change: given the updated
           params (the degraded or restored failure rate), return the
@@ -43,7 +56,7 @@ val make :
   ?adapt:(Fault.Params.t -> t) ->
   ?on_prediction:(tleft:float -> since_commit:float -> window:float -> bool) ->
   name:string ->
-  (tleft:float -> recovering:bool -> float list) ->
+  (Plan.t -> tleft:float -> recovering:bool -> unit) ->
   t
 
 val set_adapt : t -> (Fault.Params.t -> t) -> t
@@ -56,9 +69,18 @@ val set_on_prediction :
     — functional update, [p] itself is untouched. *)
 
 val validate_plan :
-  params:Fault.Params.t -> tleft:float -> recovering:bool -> float list -> unit
+  params:Fault.Params.t -> tleft:float -> recovering:bool -> Plan.t -> unit
 (** Raises [Invalid_argument] if the plan violates the contract above
     (with a small numerical tolerance). *)
+
+val query :
+  t -> Plan.t -> params:Fault.Params.t -> tleft:float -> recovering:bool ->
+  unit
+(** [query policy buf ~params ~tleft ~recovering] writes [policy]'s plan
+    into [buf] and validates it in full: how the engine (and the
+    analytical evaluator) ask for a plan. Raises [Invalid_argument] on a
+    malformed plan. One call boxes [tleft] once for both steps, which
+    keeps the engine's per-query allocation to that one box. *)
 
 (** {2 Generic geometric policies}
 
@@ -81,6 +103,13 @@ val equal_segments : params:Fault.Params.t -> count:int -> t
     the last one completing at the end of the remaining reservation —
     regardless of [tleft]. Used by the Section 4.3 and Section 5 gain
     analyses. If fewer than [count] checkpoints fit, uses as many as fit. *)
+
+val equal_plan :
+  params:Fault.Params.t -> count:int -> Plan.t -> tleft:float ->
+  recovering:bool -> unit
+(** The plan of [equal_segments ~params ~count], written straight into
+    the buffer (empty when [count < 1]). The threshold policies of
+    [Core.Policies] pick [count] per query and call this directly. *)
 
 val two_checkpoints : params:Fault.Params.t -> alpha:float -> t
 (** "Strat2(α)" of Section 4.3: first checkpoint completes at

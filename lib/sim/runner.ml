@@ -86,10 +86,11 @@ let quant_add q x =
 
 let quant_result = function
   | Buffered b ->
-      let samples = Array.sub b.buf 0 b.len in
-      ( Numerics.Stats.quantile samples ~q:0.05,
-        Numerics.Stats.median samples,
-        Numerics.Stats.quantile samples ~q:0.95 )
+      let q =
+        Numerics.Stats.quantiles (Array.sub b.buf 0 b.len)
+          ~qs:[| 0.05; 0.5; 0.95 |]
+      in
+      (q.(0), q.(1), q.(2))
   | P2 { p5; p50; p95 } ->
       ( Numerics.Stats.P2.value p5,
         Numerics.Stats.P2.value p50,

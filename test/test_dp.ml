@@ -164,8 +164,8 @@ let test_plans_are_valid () =
   let policy = Dp.policy dp in
   List.iter
     (fun tleft ->
-      let plan = policy.Sim.Policy.plan ~tleft ~recovering:false in
-      Sim.Policy.validate_plan ~params ~tleft ~recovering:false plan)
+      Sim.Policy.validate_plan ~params ~tleft ~recovering:false
+        (Plans.buffer policy ~tleft ~recovering:false))
     [ 600.0; 543.0; 200.0; 50.0; 11.0; 9.0 ]
 
 let test_plan_unroll_consistent_with_tables () =

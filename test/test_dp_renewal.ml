@@ -62,7 +62,7 @@ let test_plans_valid () =
   List.iter
     (fun (tleft, recovering) ->
       Sim.Policy.validate_plan ~params ~tleft ~recovering
-        (policy.Sim.Policy.plan ~tleft ~recovering))
+        (Plans.buffer policy ~tleft ~recovering))
     [ (300.0, false); (300.0, true); (123.0, true); (40.0, false); (9.0, true) ]
 
 let mc_mean ~dist ~policy ~horizon ~n =

@@ -164,8 +164,72 @@ let test_proportion_metric () =
     (Invalid_argument "Engine.proportion_of_work: horizon must exceed C")
     (fun () -> ignore (E.proportion_of_work ~params ~horizon:5.0 outcome))
 
+(* Allocation pin: an event-free run of each paper strategy stays off
+   the minor heap. The loop allocates per query (the boxed [tleft]) and
+   per failure (the next inter-arrival time), plus the outcome record;
+   boxing the engine's clocks or a policy's offsets again costs hundreds
+   of words per run and trips the bound. *)
+let test_minor_words_per_run () =
+  let params = Fault.Params.paper ~lambda:0.01 ~c:10.0 ~d:0.0 in
+  let horizon = 2000.0 and n = 100 in
+  let traces = T.batch ~dist:(T.Exponential { rate = 0.01 }) ~seed:11L ~n in
+  Array.iter (fun tr -> T.prefetch tr ~until:horizon) traces;
+  List.iter
+    (fun policy ->
+      let run tr = ignore (E.run ~params ~horizon ~policy tr : E.outcome) in
+      (* The first run sizes this domain's plan buffer. *)
+      run traces.(0);
+      let w0 = Gc.minor_words () in
+      Array.iter run traces;
+      let per_run = (Gc.minor_words () -. w0) /. float_of_int n in
+      if per_run > 300.0 then
+        Alcotest.failf "%s: %.0f minor words per run (bound 300)" policy.P.name
+          per_run)
+    (Core.Policies.all_paper ~params ~quantum:1.0 ~horizon)
+
+(* A non-finite horizon would have a periodic plan grow without end. *)
+let test_non_finite_horizon_rejected () =
+  List.iter
+    (fun horizon ->
+      Alcotest.check_raises
+        (Printf.sprintf "horizon %g" horizon)
+        (Invalid_argument "Engine.run: horizon must be finite")
+        (fun () ->
+          ignore
+            (run ~policy:(P.periodic ~params ~period:20.0) ~horizon
+               (quiet_trace ()))))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.check_raises "negative horizon"
+    (Invalid_argument "Engine.run: negative horizon") (fun () ->
+      ignore
+        (run ~policy:(P.single_final ~params) ~horizon:(-1.0) (quiet_trace ())))
+
+(* The engine replays plans out of a buffer it reuses across runs on a
+   domain. A run started from inside another (here from the checkpoint
+   sampler, mid-walk) must plan into a buffer of its own, not over the
+   plan the outer run is walking. *)
+let test_nested_run_keeps_outer_plan () =
+  let policy = P.equal_segments ~params ~count:4 in
+  let inner () =
+    ignore
+      (run ~policy:(P.periodic ~params ~period:3.0) ~horizon:90.0
+         (quiet_trace ())
+        : E.outcome);
+    params.Fault.Params.c
+  in
+  let nested =
+    run ~ckpt_sampler:inner ~policy ~horizon:100.0 (quiet_trace ())
+  in
+  let plain = run ~policy ~horizon:100.0 (quiet_trace ()) in
+  close "same work" plain.E.work_saved nested.E.work_saved;
+  Alcotest.(check int) "same checkpoints" plain.E.checkpoints
+    nested.E.checkpoints
+
 let test_malformed_policy_rejected () =
-  let bad = P.make ~name:"bad" (fun ~tleft ~recovering:_ -> [ tleft +. 50.0 ]) in
+  let bad =
+    P.make ~name:"bad" (fun p ~tleft ~recovering:_ ->
+        Plans.fill p [ tleft +. 50.0 ])
+  in
   match run ~policy:bad ~horizon:100.0 (quiet_trace ()) with
   | _ -> Alcotest.fail "malformed plan accepted"
   | exception Invalid_argument _ -> ()
@@ -684,6 +748,15 @@ let () =
           Alcotest.test_case "proportion of work" `Quick test_proportion_metric;
           Alcotest.test_case "malformed policies rejected" `Quick
             test_malformed_policy_rejected;
+          Alcotest.test_case "non-finite horizon rejected" `Quick
+            test_non_finite_horizon_rejected;
+          Alcotest.test_case "nested run keeps the outer plan" `Quick
+            test_nested_run_keeps_outer_plan;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "paper strategies stay off the minor heap" `Quick
+            test_minor_words_per_run;
         ] );
       ("properties", qcheck_tests);
     ]

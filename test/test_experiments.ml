@@ -68,7 +68,19 @@ let test_scale_validation () =
   | exception Invalid_argument _ -> ());
   (match Figures.scale ~t_step:(-1.0) spec with
   | _ -> Alcotest.fail "negative step accepted"
-  | exception Invalid_argument _ -> ())
+  | exception Invalid_argument _ -> ());
+  (* A non-finite step or bound would make the T grid endless. *)
+  List.iter
+    (fun (name, t_step, t_max) ->
+      match Figures.scale ?t_step ?t_max spec with
+      | _ -> Alcotest.failf "%s accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("nan step", Some nan, None);
+      ("infinite step", Some infinity, None);
+      ("nan bound", None, Some nan);
+      ("infinite bound", None, Some infinity);
+    ]
 
 let test_trace_dist_calibration () =
   let spec = Option.get (Figures.find "ext-weibull") in

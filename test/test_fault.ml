@@ -120,29 +120,18 @@ let test_of_iats () =
   | _ -> Alcotest.fail "negative IAT accepted"
   | exception Invalid_argument _ -> ())
 
-let test_cursor () =
-  let tr = T.of_iats [| 5.0; 3.0; 2.0; 100.0 |] in
-  let cur = T.cursor tr in
-  close "first failure" 5.0 (T.next_failure_exposed cur);
-  T.consume cur;
-  close "second failure" 8.0 (T.next_failure_exposed cur);
-  T.consume cur;
-  close "third failure" 10.0 (T.next_failure_exposed cur);
-  Alcotest.(check int) "failures seen" 2 (T.failures_seen cur)
-
 let test_prefetch_covers () =
   let tr = T.create ~dist:(T.Exponential { rate = 0.1 }) ~seed:3L in
   T.prefetch tr ~until:100.0;
-  (* After prefetch, a cursor can walk to 100 exposed time without
-     drawing (we cannot observe drawing directly, but the walk must
-     produce the same values as a fresh identical trace). *)
+  (* After prefetch, replay can walk to 100 exposed time without drawing
+     (we cannot observe drawing directly, but the walk must produce the
+     same values as a fresh identical trace). *)
   let reference = T.create ~dist:(T.Exponential { rate = 0.1 }) ~seed:3L in
-  let c1 = T.cursor tr and c2 = T.cursor reference in
-  while T.next_failure_exposed c1 <= 100.0 do
-    close ~eps:0.0 "same failure date" (T.next_failure_exposed c2)
-      (T.next_failure_exposed c1);
-    T.consume c1;
-    T.consume c2
+  let j = ref 0 and clock = ref (T.iat tr 0) in
+  while !clock <= 100.0 do
+    close ~eps:0.0 "same IAT" (T.iat reference !j) (T.iat tr !j);
+    incr j;
+    clock := !clock +. T.iat tr !j
   done
 
 let test_exponential_trace_mtbf () =
@@ -368,24 +357,6 @@ let qcheck_tests =
              if T.iat tr j <= 0.0 then ok := false
            done;
            !ok));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"cursor clock is increasing" ~count:200
-         QCheck.small_nat (fun seed ->
-           let tr =
-             T.create
-               ~dist:(T.Exponential { rate = 0.5 })
-               ~seed:(Int64.of_int seed)
-           in
-           let cur = T.cursor tr in
-           let ok = ref true in
-           let prev = ref 0.0 in
-           for _ = 1 to 50 do
-             let next = T.next_failure_exposed cur in
-             if next <= !prev then ok := false;
-             prev := next;
-             T.consume cur
-           done;
-           !ok));
   ]
 
 let () =
@@ -407,7 +378,6 @@ let () =
           Alcotest.test_case "memoized" `Quick test_trace_memoized;
           Alcotest.test_case "batch reproducible" `Quick test_batch_reproducible;
           Alcotest.test_case "fixed traces" `Quick test_of_iats;
-          Alcotest.test_case "cursor" `Quick test_cursor;
           Alcotest.test_case "prefetch" `Quick test_prefetch_covers;
           Alcotest.test_case "empirical MTBF" `Slow test_exponential_trace_mtbf;
         ] );

@@ -105,7 +105,7 @@ let test_checkpoint_count () =
   List.iter
     (fun horizon ->
       let policy = Core.Policies.young_daly ~params:p in
-      let plan = policy.Sim.Policy.plan ~tleft:horizon ~recovering:false in
+      let plan = Plans.of_policy policy ~tleft:horizon ~recovering:false in
       Alcotest.(check int)
         (Printf.sprintf "plan length at %g" horizon)
         (M.checkpoint_count_young_daly p ~horizon)

@@ -73,7 +73,7 @@ let test_policy_valid_plans () =
   List.iter
     (fun (tleft, recovering) ->
       Sim.Policy.validate_plan ~params ~tleft ~recovering
-        (policy.Sim.Policy.plan ~tleft ~recovering))
+        (Plans.buffer policy ~tleft ~recovering))
     [ (500.0, false); (500.0, true); (77.3, true); (12.0, false); (5.0, true) ]
 
 let test_policy_stateless_replay () =
@@ -82,8 +82,8 @@ let test_policy_stateless_replay () =
   let horizon = 300.0 in
   let opt = O.build ~params ~quantum:1.0 ~horizon () in
   let policy = O.policy opt in
-  let p1 = policy.Sim.Policy.plan ~tleft:222.0 ~recovering:true in
-  let p2 = policy.Sim.Policy.plan ~tleft:222.0 ~recovering:true in
+  let p1 = Plans.of_policy policy ~tleft:222.0 ~recovering:true in
+  let p2 = Plans.of_policy policy ~tleft:222.0 ~recovering:true in
   Alcotest.(check (list (float 0.0))) "same plan" p1 p2
 
 let test_monte_carlo_agreement () =

@@ -83,7 +83,8 @@ let test_optimize_respects_feasibility () =
     PO.optimize ~params ~tleft:200.0 ~recovering:true ~k:3
       ~continuation:no_continuation ()
   in
-  Sim.Policy.validate_plan ~params ~tleft:200.0 ~recovering:true r.PO.offsets
+  Sim.Policy.validate_plan ~params ~tleft:200.0 ~recovering:true
+    (Plans.of_list r.PO.offsets)
 
 let test_optimize_infeasible_k () =
   let r =
@@ -128,7 +129,7 @@ let test_variable_segments_policy () =
   List.iter
     (fun (tleft, recovering) ->
       Sim.Policy.validate_plan ~params ~tleft ~recovering
-        (policy.Sim.Policy.plan ~tleft ~recovering))
+        (Plans.buffer policy ~tleft ~recovering))
     [ (300.0, false); (299.5, true); (100.0, false); (45.0, true); (10.0, false) ];
   let value p = Core.Expected.policy_value ~params ~quantum:1.0 ~horizon ~policy:p in
   let vs = value policy in

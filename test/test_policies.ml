@@ -33,7 +33,7 @@ let test_all_paper_roster () =
 let test_young_daly_period_in_plan () =
   (* First checkpoint of a long fresh plan completes at W_YD + C. *)
   let policy = Po.young_daly ~params in
-  match policy.Sim.Policy.plan ~tleft:2000.0 ~recovering:false with
+  match Plans.of_policy policy ~tleft:2000.0 ~recovering:false with
   | first :: _ ->
       Alcotest.(check (float 1e-9)) "W_YD + C" 220.0 first
   | [] -> Alcotest.fail "empty plan"
@@ -46,7 +46,7 @@ let test_threshold_policy_counts () =
   List.iter
     (fun tleft ->
       let expected = Th.segments_for table ~tleft in
-      let plan = policy.Sim.Policy.plan ~tleft ~recovering:false in
+      let plan = Plans.of_policy policy ~tleft ~recovering:false in
       Alcotest.(check int)
         (Printf.sprintf "count at %g" tleft)
         expected (List.length plan);
@@ -66,7 +66,7 @@ let test_threshold_policy_recovery_span () =
   let tleft = 500.0 in
   let span = tleft -. params.P.r in
   let expected = Th.segments_for table ~tleft:span in
-  let plan = policy.Sim.Policy.plan ~tleft ~recovering:true in
+  let plan = Plans.of_policy policy ~tleft ~recovering:true in
   Alcotest.(check int) "count from span" expected (List.length plan);
   (match plan with
   | first :: _ ->
@@ -74,23 +74,24 @@ let test_threshold_policy_recovery_span () =
         (params.P.r +. (span /. float_of_int expected))
         first
   | [] -> Alcotest.fail "no plan");
-  Sim.Policy.validate_plan ~params ~tleft ~recovering:true plan
+  Sim.Policy.validate_plan ~params ~tleft ~recovering:true
+    (Plans.of_list plan)
 
 let test_threshold_policy_short () =
   let table = Th.table_numerical ~params ~up_to:2000.0 in
   let policy = Po.of_threshold_table ~name:"x" ~params table in
   Alcotest.(check offsets) "too short" []
-    (policy.Sim.Policy.plan ~tleft:30.0 ~recovering:true);
+    (Plans.of_policy policy ~tleft:30.0 ~recovering:true);
   Alcotest.(check offsets) "single final" [ 30.0 ]
-    (policy.Sim.Policy.plan ~tleft:30.0 ~recovering:false)
+    (Plans.of_policy policy ~tleft:30.0 ~recovering:false)
 
 let test_first_order_switches_at_t2 () =
   let policy = Po.first_order ~params ~horizon:2000.0 in
   let t2 = Th.threshold_first_order ~params ~n:1 in
   Alcotest.(check int) "one below" 1
-    (List.length (policy.Sim.Policy.plan ~tleft:(t2 -. 5.0) ~recovering:false));
+    (List.length (Plans.of_policy policy ~tleft:(t2 -. 5.0) ~recovering:false));
   Alcotest.(check int) "two above" 2
-    (List.length (policy.Sim.Policy.plan ~tleft:(t2 +. 5.0) ~recovering:false))
+    (List.length (Plans.of_policy policy ~tleft:(t2 +. 5.0) ~recovering:false))
 
 let test_periods_ordering () =
   (* Lambert-exact < Young/Daly; Daly's second-order estimate sits next
@@ -111,8 +112,9 @@ let test_dynamic_programming_smoke () =
     Po.dynamic_programming ~params ~quantum:2.0 ~horizon:300.0 ()
   in
   Alcotest.(check string) "name" "DynamicProgramming" policy.Sim.Policy.name;
-  let plan = policy.Sim.Policy.plan ~tleft:300.0 ~recovering:false in
-  Sim.Policy.validate_plan ~params ~tleft:300.0 ~recovering:false plan;
+  let plan = Plans.of_policy policy ~tleft:300.0 ~recovering:false in
+  Sim.Policy.validate_plan ~params ~tleft:300.0 ~recovering:false
+    (Plans.of_list plan);
   (* all offsets on the u = 2 grid *)
   List.iter
     (fun off ->
@@ -139,7 +141,7 @@ let qcheck_tests =
            let policy = Po.numerical_optimum ~params ~horizon:2000.0 in
            match
              Sim.Policy.validate_plan ~params ~tleft ~recovering
-               (policy.Sim.Policy.plan ~tleft ~recovering)
+               (Plans.buffer policy ~tleft ~recovering)
            with
            | () -> true
            | exception Invalid_argument msg ->
@@ -150,7 +152,7 @@ let qcheck_tests =
            let policy = Po.young_daly ~params in
            match
              Sim.Policy.validate_plan ~params ~tleft ~recovering
-               (policy.Sim.Policy.plan ~tleft ~recovering)
+               (Plans.buffer policy ~tleft ~recovering)
            with
            | () -> true
            | exception Invalid_argument msg ->

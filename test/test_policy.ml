@@ -8,16 +8,21 @@ let params = Fault.Params.make ~lambda:0.001 ~c:10.0 ~r:8.0 ~d:2.0
 let close ?(eps = 1e-9) = Alcotest.(check (float eps))
 let offsets = Alcotest.(list (float 1e-9))
 
-let plan policy ~tleft ~recovering = policy.P.plan ~tleft ~recovering
+let plan policy ~tleft ~recovering = Plans.of_policy policy ~tleft ~recovering
 
 let test_validate_accepts () =
-  P.validate_plan ~params ~tleft:100.0 ~recovering:false [ 30.0; 60.0; 100.0 ];
-  P.validate_plan ~params ~tleft:100.0 ~recovering:true [ 18.0; 100.0 ];
-  P.validate_plan ~params ~tleft:100.0 ~recovering:false []
+  let accepts ~recovering offsets =
+    P.validate_plan ~params ~tleft:100.0 ~recovering (Plans.of_list offsets)
+  in
+  accepts ~recovering:false [ 30.0; 60.0; 100.0 ];
+  accepts ~recovering:true [ 18.0; 100.0 ];
+  accepts ~recovering:false []
 
 let test_validate_rejects () =
   let expect_invalid name p ~recovering =
-    match P.validate_plan ~params ~tleft:100.0 ~recovering p with
+    match
+      P.validate_plan ~params ~tleft:100.0 ~recovering (Plans.of_list p)
+    with
     | () -> Alcotest.failf "%s accepted" name
     | exception Invalid_argument _ -> ()
   in
@@ -112,8 +117,10 @@ let policy_emits_valid_plans name make_policy =
     (QCheck.Test.make ~name ~count:2000 state_arb
        (fun (params, tleft, recovering) ->
          let policy = make_policy params in
-         let plan = policy.P.plan ~tleft ~recovering in
-         match P.validate_plan ~params ~tleft ~recovering plan with
+         match
+           P.validate_plan ~params ~tleft ~recovering
+             (Plans.buffer policy ~tleft ~recovering)
+         with
          | () -> true
          | exception Invalid_argument msg ->
              QCheck.Test.fail_reportf "invalid plan: %s" msg))

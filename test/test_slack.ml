@@ -17,32 +17,33 @@ let test_with_slack_shifts_final () =
   let slacked = S.with_slack ~params ~slack:7.0 base in
   Alcotest.(check offsets) "only the final checkpoint moves"
     [ 100.0; 200.0; 293.0 ]
-    (slacked.Sim.Policy.plan ~tleft:300.0 ~recovering:false)
+    (Plans.of_policy slacked ~tleft:300.0 ~recovering:false)
 
 let test_with_slack_zero_identity () =
   let base = Core.Policies.young_daly ~params in
   let slacked = S.with_slack ~params ~slack:0.0 base in
   Alcotest.(check offsets) "identity"
-    (base.Sim.Policy.plan ~tleft:777.0 ~recovering:false)
-    (slacked.Sim.Policy.plan ~tleft:777.0 ~recovering:false)
+    (Plans.of_policy base ~tleft:777.0 ~recovering:false)
+    (Plans.of_policy slacked ~tleft:777.0 ~recovering:false)
 
 let test_with_slack_clamped () =
   (* Huge slack: the final checkpoint clamps against its predecessor
      plus C, never producing an invalid plan. *)
   let base = Sim.Policy.equal_segments ~params ~count:2 in
   let slacked = S.with_slack ~params ~slack:1.0e6 base in
-  let plan = slacked.Sim.Policy.plan ~tleft:100.0 ~recovering:false in
-  Sim.Policy.validate_plan ~params ~tleft:100.0 ~recovering:false plan;
+  let plan = Plans.of_policy slacked ~tleft:100.0 ~recovering:false in
+  Sim.Policy.validate_plan ~params ~tleft:100.0 ~recovering:false
+    (Plans.of_list plan);
   Alcotest.(check offsets) "clamped to prev + C" [ 50.0; 70.0 ] plan
 
 let test_with_slack_single_checkpoint () =
   let base = Sim.Policy.single_final ~params in
   let slacked = S.with_slack ~params ~slack:10.0 base in
   Alcotest.(check offsets) "shifted single" [ 90.0 ]
-    (slacked.Sim.Policy.plan ~tleft:100.0 ~recovering:false);
+    (Plans.of_policy slacked ~tleft:100.0 ~recovering:false);
   (* with recovery the base is r + c *)
-  let plan = slacked.Sim.Policy.plan ~tleft:45.0 ~recovering:true in
-  Sim.Policy.validate_plan ~params ~tleft:45.0 ~recovering:true plan
+  Sim.Policy.validate_plan ~params ~tleft:45.0 ~recovering:true
+    (Plans.buffer slacked ~tleft:45.0 ~recovering:true)
 
 let test_with_slack_validation () =
   (match S.with_slack ~params ~slack:(-1.0) Sim.Policy.no_checkpoint with
@@ -58,7 +59,7 @@ let qcheck_valid_plans =
          let slacked = S.with_slack ~params ~slack base in
          match
            Sim.Policy.validate_plan ~params ~tleft ~recovering
-             (slacked.Sim.Policy.plan ~tleft ~recovering)
+             (Plans.buffer slacked ~tleft ~recovering)
          with
          | () -> true
          | exception Invalid_argument msg ->

@@ -77,6 +77,55 @@ let test_quantile_errors () =
     (Invalid_argument "Stats.quantile: q outside [0, 1]") (fun () ->
       ignore (S.quantile [| 1.0 |] ~q:1.5))
 
+(* Type-7 quantile as [S.quantile] computed it before [S.quantiles]
+   existed: its own sorted copy per call, polymorphic compare. *)
+let reference_quantile xs ~q =
+  let n = Array.length xs in
+  let sorted = Array.copy xs in
+  Array.sort compare sorted;
+  let pos = q *. float_of_int (n - 1) in
+  let lo = int_of_float (floor pos) in
+  let hi = int_of_float (ceil pos) in
+  if lo = hi then sorted.(lo)
+  else begin
+    let w = pos -. float_of_int lo in
+    ((1.0 -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
+  end
+
+let bit_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* One sorted copy answers every q exactly as one call per q does. *)
+let quantiles_agree xs qs =
+  let got = S.quantiles xs ~qs in
+  Array.length got = Array.length qs
+  && Array.for_all2
+       (fun q v ->
+         bit_equal v (S.quantile xs ~q)
+         && bit_equal v (reference_quantile xs ~q))
+       qs got
+
+let fold_qs = [| 0.0; 0.05; 0.5; 0.95; 1.0 |]
+
+let test_quantiles_one_sort () =
+  let check name xs =
+    Alcotest.(check bool) name true (quantiles_agree xs fold_qs)
+  in
+  check "n = 1" [| 4.25 |];
+  check "n = 2" [| 7.0; -3.0 |];
+  check "duplicates" [| 2.0; 2.0; 1.0; 2.0; 3.0; 1.0; 1.0 |];
+  check "all equal" (Array.make 9 0.3);
+  check "signed zeros" [| 0.0; -0.0; 1.0; -0.0 |];
+  let xs = [| 5.0; 1.0; 3.0 |] in
+  ignore (S.quantiles xs ~qs:fold_qs : float array);
+  Alcotest.(check (array (float 0.0)))
+    "input unmodified" [| 5.0; 1.0; 3.0 |] xs;
+  Alcotest.(check (array (float 0.0))) "no qs" [||] (S.quantiles xs ~qs:[||]);
+  Alcotest.check_raises "empty" (Invalid_argument "Stats.quantile: empty array")
+    (fun () -> ignore (S.quantiles [||] ~qs:[| 0.5 |]));
+  Alcotest.check_raises "q out of range"
+    (Invalid_argument "Stats.quantile: q outside [0, 1]") (fun () ->
+      ignore (S.quantiles [| 1.0 |] ~qs:[| 0.5; -0.1 |]))
+
 let p2_of xs ~q =
   let p = S.P2.create ~q in
   Array.iter (S.P2.add p) xs;
@@ -138,6 +187,19 @@ let qcheck_tests =
          (fun xs ->
            S.quantile xs ~q:0.25 <= S.quantile xs ~q:0.75 +. 1e-12));
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"quantiles bit-equal to one quantile per q"
+         ~count:500
+         QCheck.(
+           pair
+             (array_of_size (Gen.int_range 1 60)
+                (oneof
+                   [
+                     float_range (-5.0) 5.0;
+                     map float_of_int (int_range (-3) 3);
+                   ]))
+             (array_of_size (Gen.int_range 0 6) (float_range 0.0 1.0)))
+         (fun (xs, qs) -> quantiles_agree xs (Array.append fold_qs qs)));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"p2 estimate within [min, max]" ~count:300 arr
          (fun xs ->
            let s = S.of_array xs in
@@ -173,6 +235,8 @@ let () =
           Alcotest.test_case "summary fields" `Quick test_summary;
           Alcotest.test_case "quantiles" `Quick test_quantiles;
           Alcotest.test_case "quantile errors" `Quick test_quantile_errors;
+          Alcotest.test_case "quantiles from one sort" `Quick
+            test_quantiles_one_sort;
         ] );
       ( "p2",
         [

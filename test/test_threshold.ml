@@ -142,6 +142,20 @@ let test_tables_reject_zero_c () =
        "Threshold.table_first_order: thresholds degenerate for C = 0")
     (fun () -> ignore (Th.table_first_order ~params ~up_to:100.0))
 
+(* A non-finite bound would grow the table forever. *)
+let test_tables_reject_non_finite_bound () =
+  List.iter
+    (fun up_to ->
+      Alcotest.check_raises
+        (Printf.sprintf "numerical table up to %g" up_to)
+        (Invalid_argument "Threshold: up_to must be finite and >= 0")
+        (fun () -> ignore (Th.table_numerical ~params ~up_to));
+      Alcotest.check_raises
+        (Printf.sprintf "first-order table up to %g" up_to)
+        (Invalid_argument "Threshold: up_to must be finite and >= 0")
+        (fun () -> ignore (Th.table_first_order ~params ~up_to)))
+    [ nan; infinity; -1.0 ]
+
 let qcheck_tests =
   let arb =
     QCheck.make
@@ -205,6 +219,8 @@ let () =
           Alcotest.test_case "segments_for" `Quick test_segments_for;
           Alcotest.test_case "first-order table" `Quick test_first_order_table;
           Alcotest.test_case "reject C = 0" `Quick test_tables_reject_zero_c;
+          Alcotest.test_case "reject non-finite bounds" `Quick
+            test_tables_reject_non_finite_bound;
         ] );
       ("properties", qcheck_tests);
     ]
