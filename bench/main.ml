@@ -1,6 +1,6 @@
 (* Benchmark harness.
 
-   Two jobs in one executable:
+   Two tasks in one executable:
 
    1. Figure regeneration — one entry per figure of the paper (Figures
       2-12) plus the robustness extensions: re-runs the simulation
@@ -32,7 +32,6 @@ type options = {
   dp_baseline : string option;
   serve_json : string option;
   serve_baseline : string option;
-  jobs : int;
 }
 
 let parse_args () =
@@ -47,12 +46,6 @@ let parse_args () =
   let dp_baseline = ref None in
   let serve_json = ref None in
   let serve_baseline = ref None in
-  let jobs =
-    ref
-      (match Sys.getenv_opt "FIXEDLEN_JOBS" with
-      | Some s -> ( match int_of_string_opt s with Some j when j >= 1 -> j | _ -> 1)
-      | None -> 1)
-  in
   let rec go = function
     | [] -> ()
     | "--full" :: rest ->
@@ -86,9 +79,6 @@ let parse_args () =
     | "--dp-baseline" :: path :: rest ->
         dp_baseline := Some path;
         go rest
-    | "--jobs" :: n :: rest ->
-        jobs := int_of_string n;
-        go rest
     | "--serve-json" :: path :: rest ->
         serve_json := Some path;
         go rest
@@ -99,7 +89,7 @@ let parse_args () =
         Printf.eprintf
           "unknown argument %s\n\
            usage: bench [--full] [--traces N] [--t-step X] [--figures ids] \
-           [--skip-figures] [--skip-micro] [--jobs N] [--eval-json PATH] \
+           [--skip-figures] [--skip-micro] [--eval-json PATH] \
            [--dp-json PATH] [--baseline PATH] [--dp-baseline PATH] \
            [--serve-json PATH] [--serve-baseline PATH]\n"
           arg;
@@ -118,7 +108,6 @@ let parse_args () =
     dp_baseline = !dp_baseline;
     serve_json = !serve_json;
     serve_baseline = !serve_baseline;
-    jobs = !jobs;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -367,7 +356,7 @@ let run_eval_json path =
    committed bench/BENCH_dp.json trajectory tracks the DP core across
    PRs the same way BENCH_eval.json tracks the evaluation stack.       *)
 
-let run_dp_json ~jobs path =
+let run_dp_json path =
   let cs = [ 10.0; 20.0; 40.0; 80.0; 160.0 ] in
   let horizon = 2000.0 and quantum = 1.0 in
   Gc.compact ();
@@ -380,7 +369,7 @@ let run_dp_json ~jobs path =
         let dp =
           Core.Dp.build
             ~kmax:(Core.Dp.suggested_kmax ~params ~horizon)
-            ~jobs ~params ~quantum ~horizon ()
+            ~params ~quantum ~horizon ()
         in
         acc + (2 * Core.Dp.kmax dp * Core.Dp.horizon_quanta dp))
       0 cs
@@ -388,15 +377,12 @@ let run_dp_json ~jobs path =
   let elapsed = Unix.gettimeofday () -. t0 in
   let g1 = Gc.quick_stat () in
   let oc = open_out path in
-  (* [jobs] and the grid shape are part of the entry so the trajectory
-     stays comparable: a jobs=4 measurement must only ever be gated
-     against earlier jobs=4 entries (see [check_dp_baseline]), and a
-     workload change shows up as a shape change instead of silently
-     re-scaling cells/s. *)
+  (* The grid shape is part of the entry so the trajectory stays
+     comparable: a workload change shows up as a shape change instead
+     of silently re-scaling cells/s. *)
   Printf.fprintf oc
     "{\n\
     \  \"workload\": \"fig2 C sweep, T=2000, u=1, suggested_kmax\",\n\
-    \  \"jobs\": %d,\n\
     \  \"grid_platforms\": %d,\n\
     \  \"grid_horizon\": %g,\n\
     \  \"grid_quantum\": %g,\n\
@@ -409,7 +395,7 @@ let run_dp_json ~jobs path =
     \  \"major_words\": %.0f,\n\
     \  \"peak_rss_kb\": %d\n\
      }\n"
-    jobs (List.length cs) horizon quantum (List.length cs) cells elapsed
+    (List.length cs) horizon quantum (List.length cs) cells elapsed
     (float_of_int cells /. elapsed)
     (g1.Gc.minor_words -. g0.Gc.minor_words)
     (g1.Gc.promoted_words -. g0.Gc.promoted_words)
@@ -417,10 +403,10 @@ let run_dp_json ~jobs path =
     (peak_rss_kb ());
   close_out oc;
   Printf.printf
-    "dp benchmark: %d cells in %.2f s (%.0f cells/s, jobs=%d); wrote %s\n"
-    cells elapsed
+    "dp benchmark: %d cells in %.2f s (%.0f cells/s); wrote %s\n" cells
+    elapsed
     (float_of_int cells /. elapsed)
-    jobs path;
+    path;
   float_of_int cells /. elapsed
 
 (* ------------------------------------------------------------------ *)
@@ -661,7 +647,6 @@ let run_serve_json path =
       chaos_fs = None;
       max_tables = None;
       max_bytes = None;
-      jobs = None;
       quiet = true;
     }
   in
@@ -880,13 +865,12 @@ let check_serve_baseline ~path ~modes =
               qps mode baseline)
     modes
 
-(* The dp trajectory is only comparable at equal [jobs]: a jobs=1
-   cells/s figure says nothing about a jobs=4 build (and vice versa on
-   a box with a different core count). Entries written before the
-   field existed are single-threaded, so a missing "jobs" reads as 1.
-   Gate against the last same-jobs entry; finding none is a note, not
-   a failure — the first entry at a new width has no peer yet. *)
-let check_dp_baseline ~path ~jobs ~cells_per_sec =
+(* The build is serial, so only serial entries set the floor: the
+   trajectory also holds row-parallel builds of an earlier kernel,
+   marked with a "jobs" field > 1, whose cells/s measure a different
+   quantity. Entries without the field are serial. Gate against the
+   last serial entry; finding none is a note, not a failure. *)
+let check_dp_baseline ~path ~cells_per_sec =
   let ic = open_in path in
   let len = in_channel_length ic in
   let body = really_input_string ic len in
@@ -918,35 +902,32 @@ let check_dp_baseline ~path ~jobs ~cells_per_sec =
         match field chunk "cells_per_sec" with
         | None -> acc
         | Some v ->
-            let entry_jobs =
-              match field chunk "jobs" with
-              | Some j -> int_of_float j
-              | None -> 1
+            let serial =
+              match field chunk "jobs" with Some j -> j = 1.0 | None -> true
             in
-            if entry_jobs = jobs then Some v else acc)
+            if serial then Some v else acc)
       None
       (String.split_on_char '}' body)
   in
   match baseline with
   | None ->
       Printf.printf
-        "baseline check: %s holds no jobs=%d dp entry — nothing to gate \
+        "baseline check: %s holds no serial dp entry — nothing to gate \
          against\n"
-        path jobs
+        path
   | Some baseline ->
       let floor = 0.7 *. baseline in
       if cells_per_sec < floor then begin
         Printf.eprintf
-          "PERF REGRESSION: %.1f cells/s (jobs=%d) is below 70%% of the \
-           committed baseline %.1f (floor %.1f)\n"
-          cells_per_sec jobs baseline floor;
+          "PERF REGRESSION: %.1f cells/s is below 70%% of the committed \
+           baseline %.1f (floor %.1f)\n"
+          cells_per_sec baseline floor;
         exit 1
       end
       else
         Printf.printf
-          "baseline check: %.1f cells/s (jobs=%d) >= 70%% of committed %.1f — \
-           ok\n"
-          cells_per_sec jobs baseline
+          "baseline check: %.1f cells/s >= 70%% of committed %.1f — ok\n"
+          cells_per_sec baseline
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the kernels                             *)
@@ -1099,10 +1080,9 @@ let () =
   (match options.dp_json with
   | None -> ()
   | Some path ->
-      let cells_per_sec = run_dp_json ~jobs:options.jobs path in
+      let cells_per_sec = run_dp_json path in
       Option.iter
-        (fun baseline ->
-          check_dp_baseline ~path:baseline ~jobs:options.jobs ~cells_per_sec)
+        (fun baseline -> check_dp_baseline ~path:baseline ~cells_per_sec)
         options.dp_baseline);
   (match options.serve_json with
   | None -> ()

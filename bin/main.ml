@@ -6,9 +6,9 @@ open Cmdliner
 
 (* Shared parameter options *)
 
-(* Reservation lengths and grid bounds must be positive and finite: a
-   NaN or infinite length would grow a plan, a grid or a threshold
-   table without end. *)
+(* Reservation lengths, grid bounds and the DP quantum must be positive
+   and finite: a NaN or infinite length would grow a plan, a grid or a
+   threshold table without end, or size a DP table to nothing. *)
 let length =
   let parse s =
     match float_of_string_opt s with
@@ -41,7 +41,7 @@ let params_t =
 
 let quantum_t =
   let doc = "Time quantum u of the dynamic program." in
-  Arg.(value & opt float 1.0 & info [ "quantum"; "u" ] ~docv:"U" ~doc)
+  Arg.(value & opt length 1.0 & info [ "quantum"; "u" ] ~docv:"U" ~doc)
 
 let seed_t =
   let doc = "Random seed for trace generation." in
@@ -54,15 +54,6 @@ let traces_t default =
 let domains_t =
   let doc = "Worker domains for parallel sweeps (default: cores, max 8)." in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let jobs_t =
-  let doc =
-    "Worker domains used to build a single DP table (the k-dimension of \
-     the table is swept row-parallel). Tables are bit-identical for any \
-     value, so this is purely a machine knob. Default: \
-     $(b,FIXEDLEN_JOBS) from the environment, else 1."
-  in
-  Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
 
 (* figure / campaign *)
 
@@ -410,7 +401,7 @@ let figure_cmd =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
   in
   let run id n_traces t_step t_max strategies platform_events spares loss_rate
-      predictor csv no_plot domains jobs quiet journal resume retry chaos_rate
+      predictor csv no_plot domains quiet journal resume retry chaos_rate
       chaos_hang chaos_seed chaos_fs_rate chaos_crash_at deadline task_timeout
       isolate =
     match Experiments.Figures.find id with
@@ -457,7 +448,7 @@ let figure_cmd =
         in
         let result =
           or_fail (fun () ->
-              let cache = Experiments.Strategy.Cache.create ?jobs () in
+              let cache = Experiments.Strategy.Cache.create () in
               Parallel.Pool.with_pool ?domains (fun pool ->
                   let backend =
                     if isolate then
@@ -504,7 +495,7 @@ let figure_cmd =
     Term.(
       const run $ id_t $ n_traces_t $ t_step_t $ t_max_t $ strategies_opt_t
       $ platform_events_t $ spares_t $ loss_rate_t $ predictor_t
-      $ csv_t $ no_plot_t $ domains_t $ jobs_t $ quiet_t $ journal_t
+      $ csv_t $ no_plot_t $ domains_t $ quiet_t $ journal_t
       $ resume_t $ retry_t $ chaos_rate_t $ chaos_hang_t $ chaos_seed_t
       $ chaos_fs_t $ chaos_crash_at_t $ deadline_t $ task_timeout_t
       $ isolate_t)
@@ -557,7 +548,7 @@ let campaign_cmd =
     Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
   in
   let run out n_traces t_step t_max report figures strategies platform_events
-      spares loss_rate predictor domains jobs shards quiet journal resume
+      spares loss_rate predictor domains shards quiet journal resume
       retry chaos_rate chaos_hang chaos_seed chaos_fs_rate chaos_crash_at
       deadline task_timeout isolate =
     let isolate = supervision_of ~isolate ~task_timeout ~chaos_hang ~deadline in
@@ -591,7 +582,7 @@ let campaign_cmd =
     let progress = if quiet then fun _ -> () else prerr_endline in
     let outcome =
       or_fail (fun () ->
-          let cache = Experiments.Strategy.Cache.create ?jobs () in
+          let cache = Experiments.Strategy.Cache.create () in
           Parallel.Pool.with_pool ?domains (fun pool ->
               Experiments.Campaign.run ~pool ~cache ~progress config))
     in
@@ -634,7 +625,7 @@ let campaign_cmd =
     Term.(
       const run $ out_t $ n_traces_t $ t_step_t $ t_max_t $ report_t
       $ figures_only_t $ strategies_opt_t $ platform_events_t $ spares_t
-      $ loss_rate_t $ predictor_t $ domains_t $ jobs_t $ shards_t $ quiet_t
+      $ loss_rate_t $ predictor_t $ domains_t $ shards_t $ quiet_t
       $ journal_t $ resume_t $ retry_t $ chaos_rate_t $ chaos_hang_t
       $ chaos_seed_t $ chaos_fs_t $ chaos_crash_at_t $ deadline_t
       $ task_timeout_t $ isolate_t)
@@ -1055,10 +1046,9 @@ let dp_cmd =
     Arg.(value & opt (some int) None
          & info [ "kmax" ] ~docv:"K" ~doc:"Cap on the number of checkpoints.")
   in
-  let run params quantum t kmax jobs =
+  let run params quantum t kmax =
     let dp =
-      or_fail (fun () ->
-          Core.Dp.build ?kmax ?jobs ~params ~quantum ~horizon:t ())
+      or_fail (fun () -> Core.Dp.build ?kmax ~params ~quantum ~horizon:t ())
     in
     let n = Core.Dp.horizon_quanta dp in
     let k = Core.Dp.best_k dp ~n ~delta:false in
@@ -1107,7 +1097,7 @@ let dp_cmd =
   Cmd.v
     (Cmd.info "dp"
        ~doc:"Build the dynamic program and inspect the optimal strategy.")
-    Term.(const run $ params_t $ quantum_t $ t_t $ kmax_t $ jobs_t)
+    Term.(const run $ params_t $ quantum_t $ t_t $ kmax_t)
 
 (* simulate *)
 
@@ -1588,7 +1578,7 @@ let serve_cmd =
   in
   let run socket listen workers queue batch max_conns idle_timeout sessions
       budget slow journal journal_rotate journal_compact cache_tables
-      cache_bytes jobs chaos_rate chaos_seed chaos_fs_rate chaos_crash_at
+      cache_bytes chaos_rate chaos_seed chaos_fs_rate chaos_crash_at
       quiet =
     if workers < 1 then begin
       Printf.eprintf "fixedlen: --workers must be >= 1\n";
@@ -1642,7 +1632,6 @@ let serve_cmd =
         chaos_fs;
         max_tables = cache_tables;
         max_bytes = cache_bytes;
-        jobs;
         quiet;
       }
     in
@@ -1658,7 +1647,7 @@ let serve_cmd =
       const run $ socket_t $ listen_t $ workers_t $ queue_t $ batch_t
       $ max_conns_t $ idle_timeout_t $ sessions_t $ budget_t $ slow_t
       $ journal_t $ journal_rotate_t $ journal_compact_t $ cache_tables_t
-      $ cache_bytes_t $ jobs_t $ chaos_rate_t $ chaos_seed_t $ chaos_fs_t
+      $ cache_bytes_t $ chaos_rate_t $ chaos_seed_t $ chaos_fs_t
       $ chaos_crash_at_t $ quiet_t)
 
 let query_cmd =

@@ -33,13 +33,10 @@ let suggested_kmax ~params ~horizon =
     min exact (max 1 guess)
   else max 1 guess
 
-let build ?kmax ?(jobs = 1) ~params ~quantum ~horizon () =
-  if quantum <= 0.0 then invalid_arg "Dp.build: quantum must be positive";
-  if horizon < quantum then invalid_arg "Dp.build: horizon below one quantum";
-  if jobs < 1 then invalid_arg "Dp.build: jobs < 1";
+let build ?kmax ~params ~quantum ~horizon () =
+  let tstar = Tables.quanta_count ~who:"Dp.build" ~quantum ~horizon in
   let open Fault.Params in
   let u = quantum in
-  let tstar = int_of_float (floor ((horizon /. u) +. 1e-9)) in
   let cq = max 1 (quanta_round params.c ~u) in
   let rq = max 0 (quanta_round params.r ~u) in
   let dq = max 0 (quanta_round params.d ~u) in
@@ -66,13 +63,6 @@ let build ?kmax ?(jobs = 1) ~params ~quantum ~horizon () =
   let e0d = Tables.F.data e0 and e1d = Tables.F.data e1 in
   let ilo0 = cq + 1 in
   let ilo1 = rq + cq + 1 in
-  (* More domains than rows cannot help, and [jobs = 1] must keep the
-     original serial sweep byte-for-byte (it is the committed bench
-     baseline). The parallel path below is written to replay the exact
-     same addition sequence per state, so both paths produce
-     bit-identical tables — the property suite checks this. *)
-  let jobs = min jobs kmax in
-  if jobs <= 1 then begin
   (* bestv.(n) = max_{m<=k} E(n, m, 1) for the sweep's current k;
      updated in place as soon as E(n, k, 1) is known, which is safe
      because states only reference strictly smaller n. *)
@@ -257,212 +247,7 @@ let build ?kmax ?(jobs = 1) ~params ~quantum ~horizon () =
     let swap = !prev0 in
     prev0 := out0;
     cur0 := swap
-  done
-  end
-  else begin
-    (* Parallel path: the n recurrence is the only serial chain, so the
-       sweep is flipped column-major — columns advance serially, and
-       the rows k of one column are split round-robin across a fixed
-       team of [jobs] domains (row k's scan shortens as k grows, so
-       interleaving balances the work). The serial path's running
-       [bestv]/[argv] scratch (max over m <= k of E1, and its argmax)
-       becomes a full (k, n) prefix-max table [bmax] plus the [argm1]
-       table itself, finalised column by column: after the cells of
-       column n are in, worker 0 folds them top-down with the same
-       strict-greater comparison the serial sweep uses, so a worker
-       computing row k at a later column reads in bmax(k, n) exactly
-       the value the serial sweep would have had in bestv(n). Two
-       barriers per column keep the phases apart; the plain Bigarray
-       accesses on either side are ordered by the barrier's atomics. *)
-    let bmax =
-      Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout
-        ((kmax + 1) * cols)
-    in
-    Bigarray.Array1.fill bmax 0.0;
-    let barrier = Parallel.Barrier.create jobs in
-    let worker w =
-      for n = 1 to tstar do
-        (* Row k first has a candidate at n = k cq + 1 (the serial loop
-           start); earlier columns keep the tables' zero fill. *)
-        let khi = min kmax ((n - 1) / cq) in
-        let k = ref (w + 1) in
-        while !k <= khi do
-          let k0 = !k in
-          (* Mirror of the serial per-state solve: the continuation
-             reads come from row k0 - 1 of e0 directly (finished
-             columns < n), the failure-term reads from row k0 of bmax.
-             Same operands in the same order, so bit-identical cells. *)
-          let coff = (k0 - 1) * cols in
-          let boff = k0 * cols in
-          let head = (k0 - 1) * cq in
-          let ihi = if k0 >= 2 then n - head else n in
-          let acc_hi = n - dq - 1 in
-          let running = ref 0.0 in
-          let fhi = min (ilo0 - 1) acc_hi in
-          for f = 1 to fhi do
-            running :=
-              !running
-              +. (Array.unsafe_get p f
-                  *. Bigarray.Array1.unsafe_get bmax (boff + (n - f - dq)))
-          done;
-          let best0 = ref 0.0 and besti0 = ref 0 in
-          let best1 = ref 0.0 and besti1 = ref 0 in
-          let a_hi = min ihi (ilo1 - 1) in
-          let w0 = ref (float_of_int (ilo0 - cq)) in
-          for i = ilo0 to min a_hi acc_hi do
-            running :=
-              !running
-              +. (Array.unsafe_get p i
-                  *. Bigarray.Array1.unsafe_get bmax (boff + (n - i - dq)));
-            let pi = Array.unsafe_get psucc i in
-            let cand0 =
-              (pi *. (!w0 +. Bigarray.Array1.unsafe_get e0d (coff + (n - i))))
-              +. !running
-            in
-            if cand0 > !best0 then begin
-              best0 := cand0;
-              besti0 := i
-            end;
-            w0 := !w0 +. 1.0
-          done;
-          for i = max ilo0 (acc_hi + 1) to a_hi do
-            let pi = Array.unsafe_get psucc i in
-            let cand0 =
-              (pi
-              *. (float_of_int (i - cq)
-                 +. Bigarray.Array1.unsafe_get e0d (coff + (n - i))))
-              +. !running
-            in
-            if cand0 > !best0 then begin
-              best0 := cand0;
-              besti0 := i
-            end
-          done;
-          let b_lo = max ilo0 ilo1 in
-          let b_hi = min ihi acc_hi in
-          let w0 = ref (float_of_int (b_lo - cq)) in
-          let w1 = ref (float_of_int (b_lo - cq - rq)) in
-          let i = ref b_lo in
-          while !i < b_hi do
-            let i0 = !i in
-            running :=
-              !running
-              +. (Array.unsafe_get p i0
-                  *. Bigarray.Array1.unsafe_get bmax (boff + (n - i0 - dq)));
-            let pi = Array.unsafe_get psucc i0 in
-            let continuation =
-              Bigarray.Array1.unsafe_get e0d (coff + (n - i0))
-            in
-            let cand0 = (pi *. (!w0 +. continuation)) +. !running in
-            if cand0 > !best0 then begin
-              best0 := cand0;
-              besti0 := i0
-            end;
-            let cand1 = (pi *. (!w1 +. continuation)) +. !running in
-            if cand1 > !best1 then begin
-              best1 := cand1;
-              besti1 := i0
-            end;
-            let i1 = i0 + 1 in
-            running :=
-              !running
-              +. (Array.unsafe_get p i1
-                  *. Bigarray.Array1.unsafe_get bmax (boff + (n - i1 - dq)));
-            let pi = Array.unsafe_get psucc i1 in
-            let continuation =
-              Bigarray.Array1.unsafe_get e0d (coff + (n - i1))
-            in
-            let cand0 = (pi *. ((!w0 +. 1.0) +. continuation)) +. !running in
-            if cand0 > !best0 then begin
-              best0 := cand0;
-              besti0 := i1
-            end;
-            let cand1 = (pi *. ((!w1 +. 1.0) +. continuation)) +. !running in
-            if cand1 > !best1 then begin
-              best1 := cand1;
-              besti1 := i1
-            end;
-            w0 := !w0 +. 2.0;
-            w1 := !w1 +. 2.0;
-            i := i0 + 2
-          done;
-          if !i = b_hi then begin
-            let i0 = !i in
-            running :=
-              !running
-              +. (Array.unsafe_get p i0
-                  *. Bigarray.Array1.unsafe_get bmax (boff + (n - i0 - dq)));
-            let pi = Array.unsafe_get psucc i0 in
-            let continuation =
-              Bigarray.Array1.unsafe_get e0d (coff + (n - i0))
-            in
-            let cand0 = (pi *. (!w0 +. continuation)) +. !running in
-            if cand0 > !best0 then begin
-              best0 := cand0;
-              besti0 := i0
-            end;
-            let cand1 = (pi *. (!w1 +. continuation)) +. !running in
-            if cand1 > !best1 then begin
-              best1 := cand1;
-              besti1 := i0
-            end
-          end;
-          for i = max b_lo (acc_hi + 1) to ihi do
-            let pi = Array.unsafe_get psucc i in
-            let continuation =
-              Bigarray.Array1.unsafe_get e0d (coff + (n - i))
-            in
-            let cand0 =
-              (pi *. (float_of_int (i - cq) +. continuation)) +. !running
-            in
-            if cand0 > !best0 then begin
-              best0 := cand0;
-              besti0 := i
-            end;
-            let cand1 =
-              (pi *. (float_of_int (i - cq - rq) +. continuation)) +. !running
-            in
-            if cand1 > !best1 then begin
-              best1 := cand1;
-              besti1 := i
-            end
-          done;
-          Bigarray.Array1.unsafe_set e0d ((k0 * cols) + n) !best0;
-          Bigarray.Array1.unsafe_set e1d ((k0 * cols) + n) !best1;
-          Tables.I.set ib0 k0 n !besti0;
-          Tables.I.set ib1 k0 n !besti1;
-          k := k0 + jobs
-        done;
-        Parallel.Barrier.await barrier;
-        if w = 0 then
-          (* Column reduction, one worker: rows that are inactive at
-             this column hold the zero fill, which the strict-greater
-             test rejects — exactly the serial sweep, whose argv only
-             moves when a row strictly improves. *)
-          for k = 1 to kmax do
-            let v = Bigarray.Array1.unsafe_get e1d ((k * cols) + n) in
-            let prev =
-              Bigarray.Array1.unsafe_get bmax (((k - 1) * cols) + n)
-            in
-            if v > prev then begin
-              Bigarray.Array1.unsafe_set bmax ((k * cols) + n) v;
-              Tables.I.set argm1 k n k
-            end
-            else begin
-              Bigarray.Array1.unsafe_set bmax ((k * cols) + n) prev;
-              Tables.I.set argm1 k n (Tables.I.get argm1 (k - 1) n)
-            end
-          done;
-        Parallel.Barrier.await barrier
-      done
-    in
-    (* One task per team member: with [domains = jobs] the pool runs
-       all [jobs] tasks concurrently (a participant that claimed a task
-       blocks in the barrier until the whole build is done, so it never
-       claims a second one). *)
-    Parallel.Pool.with_pool ~domains:jobs (fun pool ->
-        Parallel.Pool.parallel_for pool ~lo:0 ~hi:jobs ~f:worker)
-  end;
+  done;
   let bestk0 = Array.make cols 0 in
   let beste0 = Array.make cols 0.0 in
   for k = 1 to kmax do
@@ -484,8 +269,7 @@ let build ?kmax ?(jobs = 1) ~params ~quantum ~horizon () =
    parent's maximises over rows up to its own kmax, which may exceed
    the view's cap. *)
 let prefix_view ?kmax t ~horizon =
-  if horizon < t.u then invalid_arg "Dp.prefix_view: horizon below one quantum";
-  let tstar = int_of_float (floor ((horizon /. t.u) +. 1e-9)) in
+  let tstar = Tables.quanta_count ~who:"Dp.prefix_view" ~quantum:t.u ~horizon in
   if tstar > t.tstar then
     invalid_arg "Dp.prefix_view: horizon beyond the parent table";
   let kmax_exact = max 1 (tstar / t.cq) in

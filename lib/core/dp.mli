@@ -18,7 +18,6 @@ type t
 
 val build :
   ?kmax:int ->
-  ?jobs:int ->
   params:Fault.Params.t ->
   quantum:float ->
   horizon:float ->
@@ -30,16 +29,12 @@ val build :
     the build and is safe as long as it exceeds the optimal checkpoint
     count (see {!suggested_kmax}).
 
-    [jobs] (default 1) splits the k-dimension of the sweep across that
-    many domains; the n recurrence stays serial. The result is
-    bit-identical to the serial build — every state's additions run in
-    the same order on the same operands, and the [max_{m<=k}] fold
-    keeps the serial strict-greater tie-breaking — so callers may pick
-    [jobs] from the machine, not from the experiment. Speed-up requires
-    that many free cores; oversubscribed runs degrade gracefully (the
-    column barriers block instead of spinning). Raises
-    [Invalid_argument] on a non-positive quantum or horizon, or
-    [jobs < 1]. *)
+    The sweep is serial: the n recurrence is a chain, and sweeps get
+    their parallelism from building distinct tables at once. Raises
+    [Invalid_argument] unless [quantum] is finite and positive,
+    [horizon] is finite and at least one quantum, and [horizon /
+    quantum] is below [Sys.max_array_length] (see
+    {!Tables.quanta_count}); also on [kmax < 1]. *)
 
 val prefix_view : ?kmax:int -> t -> horizon:float -> t
 (** [prefix_view t ~horizon] is the table for a shorter horizon,
@@ -51,7 +46,8 @@ val prefix_view : ?kmax:int -> t -> horizon:float -> t
     suite checks this. O(kmax × T'/u) time for the recomputed
     [best_k] row and one small array; {!bytes} of the view charges
     only that row, never the shared buffers. Raises [Invalid_argument]
-    when [horizon] exceeds the parent's or is below one quantum. *)
+    when [horizon] exceeds the parent's, is below one quantum, or is not
+    finite. *)
 
 val is_view : t -> bool
 (** Whether this table borrows another build's buffers

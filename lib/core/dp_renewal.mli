@@ -38,7 +38,8 @@ val build :
   unit ->
   t
 (** [params.lambda] is ignored for failure timing (the [dist] rules);
-    costs C/R/D come from [params] and are rounded to quanta. *)
+    costs C/R/D come from [params] and are rounded to quanta. Rejects
+    the same quantum and horizon as {!Dp.build}. *)
 
 val value_q : t -> n:int -> age:int -> float
 (** [V(n, a)] in time units; fresh start (no pending recovery).

@@ -13,11 +13,9 @@ type t = {
 let quanta_round x ~u = int_of_float (Float.round (x /. u))
 
 let build ~params ~quantum ~horizon () =
-  if quantum <= 0.0 then invalid_arg "Optimal.build: quantum must be positive";
-  if horizon < quantum then invalid_arg "Optimal.build: horizon below one quantum";
+  let tstar = Tables.quanta_count ~who:"Optimal.build" ~quantum ~horizon in
   let open Fault.Params in
   let u = quantum in
-  let tstar = int_of_float (floor ((horizon /. u) +. 1e-9)) in
   let cq = max 1 (quanta_round params.c ~u) in
   let rq = max 0 (quanta_round params.r ~u) in
   let dq = max 0 (quanta_round params.d ~u) in

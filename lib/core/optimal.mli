@@ -20,8 +20,9 @@
 type t
 
 val build : params:Fault.Params.t -> quantum:float -> horizon:float -> unit -> t
-(** Same rounding conventions as {!Dp.build}; cost is quadratic in the
-    number of quanta (no [kmax] factor). *)
+(** Same rounding conventions and quantum/horizon validation as
+    {!Dp.build}; cost is quadratic in the number of quanta (no [kmax]
+    factor). *)
 
 val value_q : t -> n:int -> delta:bool -> float
 (** [V(n, δ)] in time units. *)

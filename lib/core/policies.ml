@@ -39,11 +39,6 @@ let dynamic_programming ?kmax ~params ~quantum ~horizon () =
 
 let single_final ~params = Sim.Policy.single_final ~params
 
-let rec adaptive build ~params =
-  let p = build ~params in
-  let p = { p with Sim.Policy.name = "Adaptive" ^ p.Sim.Policy.name } in
-  Sim.Policy.set_adapt p (fun params' -> adaptive build ~params:params')
-
 let all_paper ~params ~quantum ~horizon =
   [
     young_daly ~params;

@@ -43,19 +43,6 @@ val dynamic_programming :
 val single_final : params:Fault.Params.t -> Sim.Policy.t
 (** Re-export of {!Sim.Policy.single_final} (Strat1 of Section 4). *)
 
-val adaptive :
-  (params:Fault.Params.t -> Sim.Policy.t) -> params:Fault.Params.t ->
-  Sim.Policy.t
-(** [adaptive build ~params] runs [build ~params] and makes the result
-    malleability-aware: on every platform change the engine calls the
-    policy's [adapt] hook with the degraded parameters and [build] is
-    re-run at the new failure rate (the rebuilt policy is itself
-    adaptive, so repeated shrinks keep re-planning). The name is
-    prefixed with "Adaptive". [build] is called once per platform
-    change — table-backed builders should come from the
-    [Experiments.Strategy] registry, whose compile closures hit the
-    shared table cache. *)
-
 val all_paper :
   params:Fault.Params.t -> quantum:float -> horizon:float -> Sim.Policy.t list
 (** The paper's four strategies, in presentation order: YoungDaly,

@@ -4,6 +4,17 @@ let check_dims ~what rows cols =
   if rows < 0 || cols < 0 then
     invalid_arg (Printf.sprintf "Tables.%s: negative dimensions" what)
 
+let quanta_count ~who ~quantum ~horizon =
+  if not (Float.is_finite quantum && quantum > 0.0) then
+    invalid_arg (who ^ ": quantum must be finite and positive");
+  if not (Float.is_finite horizon) then
+    invalid_arg (who ^ ": horizon must be finite");
+  if horizon < quantum then invalid_arg (who ^ ": horizon below one quantum");
+  let q = (horizon /. quantum) +. 1e-9 in
+  if q >= float_of_int Sys.max_array_length then
+    invalid_arg (who ^ ": horizon spans too many quanta");
+  int_of_float (floor q)
+
 module F = struct
   (* [stride] is the row pitch in the flat buffer: equal to [cols] for
      an owning table, equal to the parent's stride for a prefix view

@@ -31,6 +31,14 @@ type farr = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The underlying flat Float64 buffer, exposed for unsafe hot-path
     access ([Bigarray.Array1.unsafe_get]). *)
 
+val quanta_count : who:string -> quantum:float -> horizon:float -> int
+(** [quanta_count ~who ~quantum ~horizon] is T* = floor(horizon /
+    quantum), the whole quanta a DP table over [horizon] spans. Raises
+    [Invalid_argument], prefixed with [who], unless [quantum] is finite
+    and positive, [horizon] is finite and at least one quantum, and T*
+    is below [Sys.max_array_length]: a NaN, infinite or overflowing
+    ratio would otherwise truncate to a silently empty table. *)
+
 module F : sig
   type t
 

@@ -189,7 +189,7 @@ let run_sharded ~pool ~backend ~cache ~progress ~deadline config
         ~path:(shard_ledger_path ~dir scaled s)
         ~key:(Spec.fingerprint scaled) ()
     in
-    let wcache = Strategy.Cache.create ~jobs:(Strategy.Cache.jobs cache) () in
+    let wcache = Strategy.Cache.create () in
     let wpool = Parallel.Pool.create ~domains:worker_domains () in
     Fun.protect
       ~finally:(fun () ->

@@ -58,7 +58,6 @@ module Cache = struct
     lock : Mutex.t;
     max_tables : int option;
     max_bytes : int option;
-    jobs : int;
     mutable tick : int;
     mutable builds : int;
     mutable hits : int;
@@ -66,19 +65,7 @@ module Cache = struct
     mutable resident : int;
   }
 
-  (* Build parallelism comes from the machine, not the experiment spec
-     (the tables are bit-identical at any job count), so the default is
-     an environment knob: FIXEDLEN_JOBS. Unparsable or non-positive
-     values fall back to serial rather than failing a run. *)
-  let default_jobs () =
-    match Sys.getenv_opt "FIXEDLEN_JOBS" with
-    | None -> 1
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some j when j >= 1 -> j
-        | _ -> 1)
-
-  let create ?max_tables ?max_bytes ?jobs () =
+  let create ?max_tables ?max_bytes () =
     let check name = function
       | Some v when v < 1 ->
           invalid_arg (Printf.sprintf "Strategy.Cache.create: %s < 1" name)
@@ -86,13 +73,11 @@ module Cache = struct
     in
     check "max_tables" max_tables;
     check "max_bytes" max_bytes;
-    check "jobs" jobs;
     {
       store = Hashtbl.create 16;
       lock = Mutex.create ();
       max_tables;
       max_bytes;
-      jobs = (match jobs with Some j -> j | None -> default_jobs ());
       tick = 0;
       builds = 0;
       hits = 0;
@@ -104,7 +89,6 @@ module Cache = struct
     Mutex.lock t.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-  let jobs t = t.jobs
   let builds t = locked t (fun () -> t.builds)
   let hits t = locked t (fun () -> t.hits)
   let evictions t = locked t (fun () -> t.evictions)
@@ -262,9 +246,8 @@ module Cache = struct
 
   (* The build calls replicate what the pre-registry runner did per
      C block, so the tables — and therefore the figures — are
-     bit-identical. In particular the DP keeps its suggested_kmax cap,
-     and [t.jobs] only reshapes the build schedule, never the cells. *)
-  let build t ~params ~horizon kind =
+     bit-identical. In particular the DP keeps its suggested_kmax cap. *)
+  let build ~params ~horizon kind =
     match kind with
     | Threshold_numerical ->
         T_threshold (Core.Threshold.table_numerical ~params ~up_to:horizon)
@@ -274,7 +257,7 @@ module Cache = struct
         T_dp
           (Core.Dp.build
              ~kmax:(Core.Dp.suggested_kmax ~params ~horizon)
-             ~jobs:t.jobs ~params ~quantum ~horizon ())
+             ~params ~quantum ~horizon ())
     | Optimal { quantum } ->
         T_optimal (Core.Optimal.build ~params ~quantum ~horizon ())
     | Renewal { quantum; dist } ->
@@ -706,7 +689,7 @@ let ensure_one cache ~params ~horizon ~dist strategy =
       if Cache.mem cache ~params ~horizon kind then Cache.record_hits cache 1
       else
         Cache.insert cache ~params ~horizon kind
-          (Cache.build cache ~params ~horizon kind))
+          (Cache.build ~params ~horizon kind))
     ((base_entry_of strategy).requires ~dist strategy)
 
 (* Wrap a compiled base policy so every platform change recompiles it
@@ -864,9 +847,8 @@ let ensure ?pool cache ~params ~horizon ~dist strategies =
         match pool with
         | Some pool ->
             Parallel.Pool.map pool kinds ~f:(fun kind ->
-                Cache.build cache ~params ~horizon kind)
-        | None ->
-            Array.map (fun kind -> Cache.build cache ~params ~horizon kind) kinds
+                Cache.build ~params ~horizon kind)
+        | None -> Array.map (fun kind -> Cache.build ~params ~horizon kind) kinds
       in
       (* Inserts stay in the caller: workers only ever read the cache. *)
       Array.iteri
@@ -887,7 +869,7 @@ let warm_up ?pool cache points =
      the same canonical rendering the cache itself uses, so a table
      shared by two figures is collected once. *)
   let seen = Hashtbl.create 32 in
-  let jobs = ref [] in
+  let todo = ref [] in
   List.iter
     (fun wp ->
       List.iter
@@ -896,26 +878,26 @@ let warm_up ?pool cache points =
           if not (Hashtbl.mem seen k) then begin
             Hashtbl.add seen k ();
             if not (Cache.mem cache ~params:wp.wp_params ~horizon:wp.wp_horizon kind)
-            then jobs := (wp.wp_params, wp.wp_horizon, kind) :: !jobs
+            then todo := (wp.wp_params, wp.wp_horizon, kind) :: !todo
           end)
         (List.concat_map (fun s -> requires ~dist:wp.wp_dist s) wp.wp_strategies))
     points;
-  let jobs = Array.of_list (List.rev !jobs) in
-  let build (params, horizon, kind) = Cache.build cache ~params ~horizon kind in
+  let todo = Array.of_list (List.rev !todo) in
+  let build (params, horizon, kind) = Cache.build ~params ~horizon kind in
   let tables =
     match pool with
-    | Some pool -> Parallel.Pool.map pool jobs ~f:build
-    | None -> Array.map build jobs
+    | Some pool -> Parallel.Pool.map pool todo ~f:build
+    | None -> Array.map build todo
   in
   (* Inserts stay in the caller, same as {!ensure}: workers only read.
      The hits counter is untouched — warm-up is not a lookup, and later
      {!ensure} calls will count their (now guaranteed) hits. *)
   Array.iteri
     (fun i table ->
-      let params, horizon, kind = jobs.(i) in
+      let params, horizon, kind = todo.(i) in
       Cache.insert cache ~params ~horizon kind table)
     tables;
-  Array.length jobs
+  Array.length todo
 
 let warm_points_of_spec spec =
   let dist = Spec.trace_dist spec in

@@ -53,18 +53,13 @@ module Cache : sig
 
   val pp_kind : Format.formatter -> kind -> unit
 
-  val create : ?max_tables:int -> ?max_bytes:int -> ?jobs:int -> unit -> t
+  val create : ?max_tables:int -> ?max_bytes:int -> unit -> t
   (** Unbounded unless a bound is given. [max_tables] caps the resident
       table count, [max_bytes] the summed {!Core.Dp.bytes}-style buffer
-      footprint; either alone or both together. [jobs] is the domain
-      count DP table builds run with ({!Core.Dp.build}'s [?jobs] —
-      bit-identical tables at any value, so it is a machine knob, not
-      part of the cache key); default [FIXEDLEN_JOBS] from the
-      environment, else 1. Raises [Invalid_argument] on a bound or job
-      count [< 1]. *)
-
-  val jobs : t -> int
-  (** The domain count DP builds run with. *)
+      footprint; either alone or both together. Every table is built
+      serially ({!Core.Dp.build}); sweeps build distinct tables at once
+      through {!warm_up}'s pool. Raises [Invalid_argument] on a bound
+      [< 1]. *)
 
   val builds : t -> int
   (** Number of tables built so far (cache misses). A prefix view

@@ -98,12 +98,6 @@ let try_mapi t ~f xs =
 
 let try_map t ~f xs = try_mapi t ~f:(fun _ x -> f x) xs
 
-let parallel_for t ~lo ~hi ~f =
-  if hi > lo then begin
-    try run_tasks t ~count:(hi - lo) ~run:(fun i -> f (lo + i))
-    with Worker_failure e -> raise e
-  end
-
 let shutdown t = t.closed <- true
 
 let with_pool ?domains f =

@@ -48,9 +48,6 @@ val try_mapi :
 
 val try_map : t -> f:('a -> 'b) -> 'a array -> ('b, exn) result array
 
-val parallel_for : t -> lo:int -> hi:int -> f:(int -> unit) -> unit
-(** [parallel_for pool ~lo ~hi ~f] runs [f i] for [lo <= i < hi]. *)
-
 val shutdown : t -> unit
 (** Joins the worker domains. The pool must not be used afterwards.
     Idempotent. *)

@@ -105,7 +105,9 @@ let int_field fields name =
 let ( let* ) = Result.bind
 
 (* Shared validation behind both the text and binary decoders, so a
-   query is legal or not independently of its spelling. *)
+   query is legal or not independently of its spelling. A NaN or
+   infinite horizon, quantum or tleft is refused here rather than
+   reaching the table builder or the quanta clamp. *)
 
 let validate_params ~lambda ~c ~r ~d =
   match Fault.Params.make ~lambda ~c ~r ~d with
@@ -114,13 +116,17 @@ let validate_params ~lambda ~c ~r ~d =
 
 let validate_platform ~lambda ~c ~r ~d ~horizon ~quantum =
   let* plat_params = validate_params ~lambda ~c ~r ~d in
-  if quantum <= 0.0 then Error "quantum must be > 0"
-  else if horizon <= 0.0 then Error "horizon must be > 0"
+  if not (Float.is_finite quantum && quantum > 0.0) then
+    Error "quantum must be finite and > 0"
+  else if not (Float.is_finite horizon && horizon > 0.0) then
+    Error "horizon must be finite and > 0"
   else Ok { plat_params; plat_horizon = horizon; plat_quantum = quantum }
 
-let validate_query ~lambda ~c ~r ~d ~horizon ~quantum ~tleft ~kleft ~recovering
-    =
-  let* p = validate_platform ~lambda ~c ~r ~d ~horizon ~quantum in
+let validate_tleft tleft =
+  if Float.is_finite tleft then Ok tleft else Error "tleft must be finite"
+
+let query_of_platform p ~tleft ~kleft ~recovering =
+  let* tleft = validate_tleft tleft in
   Ok
     {
       params = p.plat_params;
@@ -130,6 +136,17 @@ let validate_query ~lambda ~c ~r ~d ~horizon ~quantum ~tleft ~kleft ~recovering
       kleft;
       recovering;
     }
+
+let validate_query ~lambda ~c ~r ~d ~horizon ~quantum ~tleft ~kleft ~recovering
+    =
+  let* p = validate_platform ~lambda ~c ~r ~d ~horizon ~quantum in
+  query_of_platform p ~tleft ~kleft ~recovering
+
+let validate_session_query ~sid ~tleft ~kleft ~recovering =
+  if sid < 1 then Error (Printf.sprintf "bad sid %d" sid)
+  else
+    let* sq_tleft = validate_tleft tleft in
+    Ok { sid; sq_tleft; sq_kleft = kleft; sq_recovering = recovering }
 
 let kleft_field fields =
   match List.assoc_opt "kleft" fields with
@@ -161,23 +178,14 @@ let query_of_fields fields =
   let* tleft = float_field fields "tleft" in
   let* kleft = kleft_field fields in
   let* recovering = recovering_field fields in
-  Ok
-    {
-      params = p.plat_params;
-      horizon = p.plat_horizon;
-      quantum = p.plat_quantum;
-      tleft;
-      kleft;
-      recovering;
-    }
+  query_of_platform p ~tleft ~kleft ~recovering
 
 let session_query_of_fields fields =
   let* sid = int_field fields "sid" in
-  let* sq_tleft = float_field fields "tleft" in
-  let* sq_kleft = kleft_field fields in
-  let* sq_recovering = recovering_field fields in
-  if sid < 1 then Error (Printf.sprintf "bad sid %d" sid)
-  else Ok { sid; sq_tleft; sq_kleft; sq_recovering }
+  let* tleft = float_field fields "tleft" in
+  let* kleft = kleft_field fields in
+  let* recovering = recovering_field fields in
+  validate_session_query ~sid ~tleft ~kleft ~recovering
 
 let request_of_string text =
   match String.split_on_char ' ' (String.trim text) with
@@ -377,14 +385,13 @@ let request_of_binary s =
         Ok (Session_open p)
     | c when Char.equal c tag_session_query ->
         let* () = expect_len s 18 "session-query" in
-        let sid = get_int32 s 1 in
-        let* sq_kleft = get_kleft s 13 in
-        let* sq_recovering = bool_byte s 17 in
-        if sid < 1 then Error (Printf.sprintf "bad sid %d" sid)
-        else
-          Ok
-            (Session_query
-               { sid; sq_tleft = get_float s 5; sq_kleft; sq_recovering })
+        let* kleft = get_kleft s 13 in
+        let* recovering = bool_byte s 17 in
+        let* sq =
+          validate_session_query ~sid:(get_int32 s 1) ~tleft:(get_float s 5)
+            ~kleft ~recovering
+        in
+        Ok (Session_query sq)
     | c when Char.equal c tag_session_close ->
         let* () = expect_len s 5 "session-close" in
         let sid = get_int32 s 1 in

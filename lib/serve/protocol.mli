@@ -33,8 +33,10 @@
     hot path ({!request_to_binary} and friends): one tag byte, then
     little-endian float64 bit patterns and int32/int64 counters, with
     [kleft = None] spelled as int32 [-1]. Both spellings decode through
-    the same validation, so a query is legal or not independently of
-    its encoding — and the binary spelling never reaches the journal
+    the same validation — valid failure parameters, a finite positive
+    horizon and quantum, a finite [tleft], a positive session id — so a
+    query is legal or not independently of its encoding — and the
+    binary spelling never reaches the journal
     (the server re-encodes to canonical text first), so crash-recovery
     replay stays bit-identical whatever the client spoke. *)
 

@@ -16,7 +16,6 @@ type config = {
   chaos_fs : Robust.Chaos_fs.t option;
   max_tables : int option;
   max_bytes : int option;
-  jobs : int option;
   quiet : bool;
 }
 
@@ -468,7 +467,7 @@ let setup ~stop cfg =
   validate cfg;
   let cache =
     Experiments.Strategy.Cache.create ?max_tables:cfg.max_tables
-      ?max_bytes:cfg.max_bytes ?jobs:cfg.jobs ()
+      ?max_bytes:cfg.max_bytes ()
   in
   let handler =
     Handler.create ?budget:cfg.budget ~slow:cfg.slow ?chaos:cfg.chaos ~cache ()

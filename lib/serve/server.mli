@@ -46,7 +46,10 @@
 
     The daemon never re-raises out of a request: a sick request gets a
     typed reply, a sick connection gets closed, the process stays up
-    until asked (or SIGKILLed). *)
+    until asked (or SIGKILLed). A query whose horizon, quantum or
+    [tleft] is NaN or infinite is refused at decode ({!Protocol}), in
+    either spelling, so it never builds or caches a table; the cache
+    builds every DP table serially ({!Core.Dp.build}). *)
 
 type config = {
   socket_path : string;
@@ -84,9 +87,6 @@ type config = {
   chaos_fs : Robust.Chaos_fs.t option;
   max_tables : int option;  (** cache LRU bound, tables *)
   max_bytes : int option;  (** cache LRU bound, summed table bytes *)
-  jobs : int option;
-      (** domains per DP table build ({!Experiments.Strategy.Cache}'s
-          [jobs]); [None] defers to [FIXEDLEN_JOBS], else 1 *)
   quiet : bool;  (** suppress the listening/drained lines *)
 }
 

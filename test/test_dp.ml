@@ -456,7 +456,28 @@ let test_build_validation () =
   | exception Invalid_argument _ -> ());
   (match build ~kmax:0 ~horizon:100.0 () with
   | _ -> Alcotest.fail "kmax 0 accepted"
-  | exception Invalid_argument _ -> ())
+  | exception Invalid_argument _ -> ());
+  (* NaN slips past a sign test, and an infinite or overflowing quanta
+     count truncates to an empty T* = 0 table: all are refused. *)
+  List.iter
+    (fun (quantum, horizon) ->
+      match build ~quantum ~horizon () with
+      | _ -> Alcotest.failf "quantum %g, horizon %g accepted" quantum horizon
+      | exception Invalid_argument _ -> ())
+    [
+      (Float.nan, 100.0);
+      (Float.infinity, 100.0);
+      (1e-300, 100.0);
+      (1.0, Float.nan);
+      (1.0, Float.infinity);
+    ];
+  let parent = build ~horizon:100.0 () in
+  List.iter
+    (fun horizon ->
+      match Dp.prefix_view parent ~horizon with
+      | _ -> Alcotest.failf "prefix view at horizon %g accepted" horizon
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity ]
 
 let qcheck_dominance =
   (* Random platforms: the DP optimum must dominate the heuristics on
@@ -529,53 +550,6 @@ let check_tables_identical ~label want got =
         (Dp.best_k got ~n ~delta:false)
         (Dp.best_k want ~n ~delta:false)
   done
-
-let test_parallel_build_matches_serial () =
-  List.iter
-    (fun (lambda, c, d, quantum, horizon) ->
-      let params = P.paper ~lambda ~c ~d in
-      let serial = Dp.build ~params ~quantum ~horizon () in
-      List.iter
-        (fun jobs ->
-          let par = Dp.build ~jobs ~params ~quantum ~horizon () in
-          check_tables_identical
-            ~label:
-              (Printf.sprintf "λ=%g C=%g D=%g u=%g T=%g jobs=%d" lambda c d
-                 quantum horizon jobs)
-            serial par)
-        [ 2; 3; 4 ])
-    [
-      (0.002, 10.0, 5.0, 1.0, 300.0);
-      (0.01, 5.0, 2.0, 1.0, 150.0);
-      (0.005, 8.0, 3.0, 0.5, 120.0);
-    ]
-
-let qcheck_parallel_bit_identical =
-  (* The tentpole contract: ?jobs only reshapes the schedule, never the
-     arithmetic. Every cell of a jobs in 1..4 build must be bit-identical
-     to the serial build on random platforms. *)
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"parallel build bit-identical to serial" ~count:10
-       (QCheck.make
-          QCheck.Gen.(
-            let* lambda = float_range 5e-4 0.03 in
-            let* c = int_range 3 25 in
-            let* r = int_range 0 4 in
-            let* d = int_range 0 6 in
-            let* horizon = int_range 60 220 in
-            let* jobs = int_range 1 4 in
-            return
-              ( P.make ~lambda ~c:(float_of_int c) ~r:(float_of_int r)
-                  ~d:(float_of_int d),
-                float_of_int horizon,
-                jobs ))
-          ~print:(fun (p, h, jobs) ->
-            Printf.sprintf "%s T=%g jobs=%d" (P.to_string p) h jobs))
-       (fun (params, horizon, jobs) ->
-         let serial = Dp.build ~params ~quantum:1.0 ~horizon () in
-         let par = Dp.build ~jobs ~params ~quantum:1.0 ~horizon () in
-         check_tables_identical ~label:"random parallel" serial par;
-         true))
 
 let qcheck_prefix_view_cell_identical =
   (* The incremental-reuse contract: the prefix view of a horizon-T
@@ -664,9 +638,6 @@ let () =
       ( "properties",
         [
           qcheck_dominance;
-          Alcotest.test_case "parallel matches serial (fixed cases)" `Quick
-            test_parallel_build_matches_serial;
-          qcheck_parallel_bit_identical;
           qcheck_prefix_view_cell_identical;
         ] );
     ]

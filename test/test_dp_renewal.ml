@@ -123,9 +123,19 @@ let test_lognormal_builds () =
   Alcotest.(check bool) "below bound" true (v <= 190.0)
 
 let test_validation () =
-  (match R.build ~params ~dist:exp_dist ~quantum:0.0 ~horizon:10.0 () with
-  | _ -> Alcotest.fail "quantum 0 accepted"
-  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun (quantum, horizon) ->
+      match R.build ~params ~dist:exp_dist ~quantum ~horizon () with
+      | _ -> Alcotest.failf "quantum %g, horizon %g accepted" quantum horizon
+      | exception Invalid_argument _ -> ())
+    [
+      (0.0, 10.0);
+      (Float.nan, 10.0);
+      (Float.infinity, 10.0);
+      (1e-300, 10.0);
+      (1.0, Float.nan);
+      (1.0, Float.infinity);
+    ];
   let renewal = R.build ~params ~dist:exp_dist ~quantum:1.0 ~horizon:50.0 () in
   (match R.value_q renewal ~n:40 ~age:20 with
   | _ -> Alcotest.fail "outside triangle accepted"

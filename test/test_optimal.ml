@@ -106,9 +106,19 @@ let test_monte_carlo_agreement () =
     (abs_float (v -. r.Sim.Runner.mean_work) < ci +. 2.0)
 
 let test_validation () =
-  (match O.build ~params ~quantum:(-1.0) ~horizon:10.0 () with
-  | _ -> Alcotest.fail "negative quantum accepted"
-  | exception Invalid_argument _ -> ())
+  List.iter
+    (fun (quantum, horizon) ->
+      match O.build ~params ~quantum ~horizon () with
+      | _ -> Alcotest.failf "quantum %g, horizon %g accepted" quantum horizon
+      | exception Invalid_argument _ -> ())
+    [
+      (-1.0, 10.0);
+      (Float.nan, 10.0);
+      (Float.infinity, 10.0);
+      (1e-300, 10.0);
+      (1.0, Float.nan);
+      (1.0, Float.infinity);
+    ]
 
 let () =
   Alcotest.run "optimal"

@@ -47,22 +47,6 @@ let test_single_domain_pool () =
     (Pool.map pool ~f:succ xs);
   Pool.shutdown pool
 
-let test_parallel_for_covers_range () =
-  Pool.with_pool (fun pool ->
-      let hits = Array.make 200 0 in
-      Pool.parallel_for pool ~lo:50 ~hi:150 ~f:(fun i -> hits.(i) <- hits.(i) + 1);
-      Array.iteri
-        (fun i h ->
-          let expected = if i >= 50 && i < 150 then 1 else 0 in
-          if h <> expected then Alcotest.failf "index %d hit %d times" i h)
-        hits)
-
-let test_parallel_for_empty_range () =
-  Pool.with_pool (fun pool ->
-      let hit = ref false in
-      Pool.parallel_for pool ~lo:5 ~hi:5 ~f:(fun _ -> hit := true);
-      Alcotest.(check bool) "no calls" false !hit)
-
 let exception_payload = Failure "task 13 exploded"
 
 let test_exception_propagates () =
@@ -267,11 +251,6 @@ let () =
           Alcotest.test_case "mapi" `Quick test_mapi;
           Alcotest.test_case "empty input" `Quick test_empty_map;
           Alcotest.test_case "single domain" `Quick test_single_domain_pool;
-        ] );
-      ( "parallel_for",
-        [
-          Alcotest.test_case "covers range" `Quick test_parallel_for_covers_range;
-          Alcotest.test_case "empty range" `Quick test_parallel_for_empty_range;
         ] );
       ( "failure handling",
         [

@@ -171,7 +171,33 @@ let test_malformed_binary_requests () =
     Bytes.of_string (Protocol.request_to_binary (Protocol.Session_close 1))
   in
   Bytes.set_int32_le sid0 1 0l;
-  rejected (Bytes.to_string sid0) (* sid must be >= 1 *)
+  rejected (Bytes.to_string sid0) (* sid must be >= 1 *);
+  (* A NaN or infinite horizon, quantum or tleft is refused by both
+     decoders alike; it would otherwise size a DP table to nothing. *)
+  List.iter
+    (fun x ->
+      List.iter
+        (fun req ->
+          rejected (Protocol.request_to_binary req);
+          let text = Protocol.request_to_string req in
+          match Protocol.request_of_string text with
+          | Ok _ -> Alcotest.failf "text %S accepted" text
+          | Error _ -> ())
+        [
+          Protocol.Query { (query ()) with Protocol.horizon = x };
+          Protocol.Query { (query ()) with Protocol.quantum = x };
+          Protocol.Query (query ~tleft:x ());
+          Protocol.Session_open { (platform ()) with Protocol.plat_horizon = x };
+          Protocol.Session_open { (platform ()) with Protocol.plat_quantum = x };
+          Protocol.Session_query
+            {
+              Protocol.sid = 1;
+              sq_tleft = x;
+              sq_kleft = None;
+              sq_recovering = false;
+            };
+        ])
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 (* The two spellings decode to the same value, so the server can journal
    a binary query as canonical text and replay it bit-identically: for
@@ -935,6 +961,38 @@ let test_handler_malformed_payload () =
            (Protocol.render_response r));
   Alcotest.(check int) "tables untouched" 0 (Strategy.Cache.builds cache)
 
+(* An infinite horizon must never reach the cache: its table would have
+   T* = 0 and stand as the covering parent of every later horizon on
+   that platform, failing each with "horizon beyond the parent table".
+   Replayed on one handler, the finite queries must answer exactly as
+   on a fresh cache. *)
+let test_handler_infinite_horizon_does_not_poison_cache () =
+  let payload ~horizon ~tleft =
+    Printf.sprintf
+      "query lambda=0.001 c=10 r=10 d=0 horizon=%s quantum=1 tleft=%s \
+       kleft=- recovering=0"
+      horizon tleft
+  in
+  let h = Handler.create ~cache:(Strategy.Cache.create ()) () in
+  (match Handler.handle_payload h (payload ~horizon:"inf" ~tleft:"100") with
+  | Protocol.Failed _ -> ()
+  | r ->
+      Alcotest.failf "infinite horizon answered %s"
+        (Protocol.render_response r));
+  List.iter
+    (fun horizon ->
+      let p = payload ~horizon ~tleft:horizon in
+      let fresh = Handler.create ~cache:(Strategy.Cache.create ()) () in
+      let want = Handler.handle_payload fresh p in
+      (match want with
+      | Protocol.Answer { Protocol.k; _ } when k > 0 -> ()
+      | r -> Alcotest.failf "fresh cache answered %s" (Protocol.render_response r));
+      Alcotest.(check string)
+        ("horizon " ^ horizon)
+        (Protocol.render_response want)
+        (Protocol.render_response (Handler.handle_payload h p)))
+    [ "100"; "2000" ]
+
 let test_handler_validation () =
   let cache = Strategy.Cache.create () in
   List.iter
@@ -1097,6 +1155,8 @@ let () =
             test_handler_chaos_is_typed_failure;
           Alcotest.test_case "malformed payload" `Quick
             test_handler_malformed_payload;
+          Alcotest.test_case "infinite horizon does not poison the cache"
+            `Quick test_handler_infinite_horizon_does_not_poison_cache;
           Alcotest.test_case "validation" `Quick test_handler_validation;
           Alcotest.test_case "session requests need the daemon" `Quick
             test_handler_session_requests_need_daemon;

@@ -470,7 +470,7 @@ let test_lru_rebuild_bit_identical () =
   done
 
 (* Exact cell comparison of two DP tables through the public
-   accessors; shared by the rebuild, prefix-view and jobs tests. *)
+   accessors; shared by the rebuild and prefix-view tests. *)
 let check_same_dp ~what want got =
   Alcotest.(check int) (what ^ ": same kmax") (Core.Dp.kmax want)
     (Core.Dp.kmax got);
@@ -537,34 +537,6 @@ let test_horizon_sweep_builds_once () =
   Alcotest.(check int) "second lookup is an exact hit" before
     (Strategy.Cache.resident_bytes cache);
   Alcotest.(check int) "still one build" 1 (Strategy.Cache.builds cache)
-
-(* ?jobs plumbing: the cache's domain count comes from create or the
-   FIXEDLEN_JOBS environment knob, and only reshapes the build
-   schedule — a jobs=3 cache's tables are bit-identical to serial. *)
-let test_cache_jobs_plumbing () =
-  (* The suite itself may run under FIXEDLEN_JOBS (CI does, to push the
-     parallel build through every test), so pin the env before each
-     probe; an empty value is unparsable and takes the serial fallback. *)
-  Unix.putenv "FIXEDLEN_JOBS" "";
-  Alcotest.(check int) "default (no usable env) is serial" 1
-    (Strategy.Cache.jobs (Strategy.Cache.create ()));
-  Unix.putenv "FIXEDLEN_JOBS" "2";
-  Alcotest.(check int) "FIXEDLEN_JOBS respected" 2
-    (Strategy.Cache.jobs (Strategy.Cache.create ()));
-  Unix.putenv "FIXEDLEN_JOBS" "not-a-number";
-  Alcotest.(check int) "unparsable env falls back to serial" 1
-    (Strategy.Cache.jobs (Strategy.Cache.create ()));
-  Unix.putenv "FIXEDLEN_JOBS" "";
-  (match Strategy.Cache.create ~jobs:0 () with
-  | (_ : Strategy.Cache.t) -> Alcotest.fail "jobs = 0 accepted"
-  | exception Invalid_argument _ -> ());
-  let serial = Strategy.Cache.create ~jobs:1 () in
-  let parallel = Strategy.Cache.create ~jobs:3 () in
-  Alcotest.(check int) "explicit jobs" 3 (Strategy.Cache.jobs parallel);
-  lru_ensure serial 0.01;
-  lru_ensure parallel 0.01;
-  check_same_dp ~what:"jobs=3 vs serial" (dp_of serial 0.01)
-    (dp_of parallel 0.01)
 
 let test_lru_validation () =
   List.iter
@@ -661,7 +633,6 @@ let () =
             test_warmed_sweep_identical;
           Alcotest.test_case "horizon sweep builds once" `Quick
             test_horizon_sweep_builds_once;
-          Alcotest.test_case "jobs plumbing" `Quick test_cache_jobs_plumbing;
         ] );
       ( "lru",
         [
