@@ -93,7 +93,8 @@ let or_fail f =
         (if arg = "" then "" else " " ^ arg)
         (Unix.error_message e);
       exit 1
-  | Experiments.Runner.Sweep_failure _ as e ->
+  | (Experiments.Runner.Sweep_failure _ | Parallel.Proc_pool.Fork_refused) as e
+    ->
       Printf.eprintf "fixedlen: %s\n" (Printexc.to_string e);
       exit 1
 

@@ -309,7 +309,9 @@ let run ?pool ?cache ?(progress = fun _ -> ()) config =
       (match (config.journal, config.deadline) with
       | No_journal, None ->
           let built =
-            Strategy.warm_up_specs ~pool cache
+            Strategy.warm_up_specs
+              ~pool:(Runner.parent_pool backend pool)
+              cache
               (List.map scale (selected_specs config))
           in
           if built > 0 then

@@ -22,6 +22,11 @@ type result = {
 
 type backend = Domains | Processes of Parallel.Proc_pool.t
 
+let parent_pool backend pool =
+  match backend with
+  | Domains -> pool
+  | Processes _ -> Parallel.Pool.create ~domains:1 ()
+
 (* Per-(c, salt) trace seeds. The salt-0 stream feeds trace generation,
    salt i+1 the checkpoint-noise sampler of task i. The derivation
    hashes the exact decimal rendering of [c] (FNV-1a over "%.17g") so
@@ -275,6 +280,7 @@ let run ?pool ?(backend = Domains) ?(deadline = Robust.Deadline.unlimited)
   Fun.protect
     ~finally:(fun () -> if own_pool then Parallel.Pool.shutdown pool)
     (fun () ->
+      let pool = parent_pool backend pool in
       (* The node-level model is exponential by construction, so a
          malleable spec must not also claim a non-exponential IAT
          distribution (the two would silently disagree). *)

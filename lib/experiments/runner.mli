@@ -32,11 +32,15 @@ type result = {
     ({!Parallel.Proc_pool}): a task that hangs past the pool's watchdog
     timeout is SIGKILLed and re-dispatched, and a segfaulting task
     surfaces as that one point's error. Precomputations (trace
-    prefetch, DP table builds) always run on the domain pool; the
-    backends interleave safely because {!Parallel.Pool} joins its
-    domains before each [map] returns, so no domain is live at fork
-    time. *)
+    prefetch, DP table builds) run in the parent on {!parent_pool}. *)
 type backend = Domains | Processes of Parallel.Proc_pool.t
+
+val parent_pool : backend -> Parallel.Pool.t -> Parallel.Pool.t
+(** The pool for parent-side precomputations: [pool] itself on
+    [Domains], a one-domain pool on [Processes]. The OCaml 5 runtime
+    refuses [fork] for the rest of a process's life once it has spawned
+    a domain, even a joined one, so an isolated run must never spawn
+    one; its width goes to the forked workers instead. *)
 
 val seed_for : int64 -> c:float -> salt:int -> int64
 (** RNG seed for one stream of a sweep: [base] is the spec seed, salt 0

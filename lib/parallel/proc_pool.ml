@@ -18,6 +18,7 @@ exception Task_failed of { index : int; detail : string }
 exception Task_timeout of { index : int; timeout : float; attempts : int }
 exception Worker_crashed of { index : int; detail : string }
 exception Cancelled
+exception Fork_refused
 
 let () =
   Printexc.register_printer (function
@@ -35,6 +36,11 @@ let () =
              "Proc_pool.Worker_crashed: worker died while running task %d: %s"
              index detail)
     | Cancelled -> Some "Proc_pool.Cancelled: not dispatched (budget exhausted)"
+    | Fork_refused ->
+        Some
+          "Proc_pool.Fork_refused: cannot fork a worker: this process has \
+           already spawned an OCaml domain, and the OCaml 5 runtime refuses \
+           fork after that, even once the domain is joined"
     | _ -> None)
 
 let default_workers () = min 8 (Domain.recommended_domain_count ())
@@ -162,6 +168,10 @@ let try_mapi t ?(should_stop = fun () -> false) ?on_result ~f xs =
       let req_r, req_w = Unix.pipe () in
       let res_r, res_w = Unix.pipe () in
       match Unix.fork () with
+      | exception Failure _ ->
+          (* The runtime's refusal once a domain was ever spawned. *)
+          List.iter Unix.close [ req_r; req_w; res_r; res_w ];
+          raise Fork_refused
       | 0 ->
           Unix.close req_w;
           Unix.close res_r;

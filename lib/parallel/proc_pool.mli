@@ -27,9 +27,11 @@
     copy-on-write memory — nothing needs to be serialised but the task
     index and its result. Two consequences of process isolation to plan
     around: in-child writes to parent state are lost (commit results in
-    the parent, e.g. via [on_result]), and the caller must not have live
-    domains when {!try_mapi} forks ({!Pool}'s are joined before [map]
-    returns, so alternating the two backends is safe).
+    the parent, e.g. via [on_result]), and the calling process must
+    never have spawned a domain: the OCaml 5 runtime refuses [fork] for
+    good once it has, even after the domain is joined, so running
+    {!Pool.map} on more than one domain before {!try_mapi} makes it
+    raise {!Fork_refused}.
 
     Exceptions raised by a task cannot cross the pipe with their
     identity intact, so they are re-raised in the parent as
@@ -52,6 +54,10 @@ exception Cancelled
 (** The task was never dispatched because [should_stop] returned [true]
     — under a deadline this marks work to resume in the next
     reservation, not a failure. *)
+
+exception Fork_refused
+(** Raised by {!try_mapi} itself, not per task: a worker could not be
+    forked because this process has already spawned a domain. *)
 
 val create :
   ?workers:int ->

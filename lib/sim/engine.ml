@@ -311,8 +311,6 @@ let replay buf ~record ~ckpt_sampler ~platform ~predictions ~proactive_c
               let delta = fail_e -. !exposed in
               wall := !wall +. delta;
               exposed := fail_e;
-              incr fail_index;
-              next_fail := !next_fail +. Fault.Trace.iat trace !fail_index;
               incr fails;
               let lost = !wall -. !committed_wall in
               b_lost := !b_lost +. lost;
@@ -324,7 +322,15 @@ let replay buf ~record ~ckpt_sampler ~platform ~predictions ~proactive_c
                 !b_down +. Float.max 0.0 (Float.min d (horizon -. !wall));
               wall := !wall +. d;
               recovering := true;
+              (* Draw the next failure only if the run goes on: a
+                 platform trace covers the horizon on the exposed clock
+                 alone, and a stochastic checkpoint can carry this strike
+                 past its last inter-arrival time. *)
               if horizon -. !wall < r +. c then finished := true
+              else begin
+                incr fail_index;
+                next_fail := !next_fail +. Fault.Trace.iat trace !fail_index
+              end
             end
           done
         end

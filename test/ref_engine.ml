@@ -383,7 +383,6 @@ let run ?(record = false) ?ckpt_sampler ?platform ?predictions ?proactive_c
                     let delta = fail_e -. !exposed in
                     wall := !wall +. delta;
                     exposed := fail_e;
-                    consume cur;
                     incr fails;
                     let lost = !wall -. !committed_wall in
                     b_lost := !b_lost +. lost;
@@ -393,6 +392,7 @@ let run ?(record = false) ?ckpt_sampler ?platform ?predictions ?proactive_c
                     wall := !wall +. d;
                     recovering := true;
                     if horizon -. !wall < r +. c then finished := true
+                    else consume cur
                   end
                   else begin
                     wall := !wall +. cp;
@@ -424,7 +424,6 @@ let run ?(record = false) ?ckpt_sampler ?platform ?predictions ?proactive_c
                 let delta = fail_e -. !exposed in
                 wall := !wall +. delta;
                 exposed := fail_e;
-                consume cur;
                 incr fails;
                 let lost = !wall -. !committed_wall in
                 b_lost := !b_lost +. lost;
@@ -436,6 +435,7 @@ let run ?(record = false) ?ckpt_sampler ?platform ?predictions ?proactive_c
                 wall := !wall +. d;
                 recovering := true;
                 if horizon -. !wall < r +. c then finished := true
+                else consume cur
               end
               else if completion_wall > horizon then begin
                 (* Stochastic checkpoint overran the reservation: this

@@ -157,6 +157,20 @@ let test_late_failure_downtime_clamped () =
   Alcotest.(check bool) "unused share is nonnegative" true
     (outcome.E.breakdown.E.unused >= 0.0)
 
+let test_late_failure_draws_no_further_iat () =
+  (* The same overrun on a fixed trace that covers the horizon on the
+     exposed clock and no further, as a platform trace does: the failure
+     at exposed 120 ends the run (wall is past the horizon), so the
+     engine must not draw a second inter-arrival time that the trace
+     does not hold. *)
+  let sampler () = params.Fault.Params.c +. 30.0 in
+  let outcome =
+    run ~ckpt_sampler:sampler ~policy:(P.single_final ~params) ~horizon:100.0
+      (T.of_iats [| 120.0 |])
+  in
+  Alcotest.(check int) "one failure" 1 outcome.E.failures;
+  close "nothing saved" 0.0 outcome.E.work_saved
+
 let test_proportion_metric () =
   let outcome = run ~policy:(P.single_final ~params) ~horizon:110.0 (quiet_trace ()) in
   close "proportion 1" 1.0 (E.proportion_of_work ~params ~horizon:110.0 outcome);
@@ -710,6 +724,8 @@ let () =
             test_stochastic_checkpoint_shifts;
           Alcotest.test_case "late failure clamps downtime" `Quick
             test_late_failure_downtime_clamped;
+          Alcotest.test_case "late failure draws no further IAT" `Quick
+            test_late_failure_draws_no_further_iat;
           Alcotest.test_case "shorter checkpoints keep the plan" `Quick
             test_stochastic_checkpoint_shorter;
         ] );

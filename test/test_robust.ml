@@ -5,20 +5,7 @@ module Retry = Robust.Retry
 module Chaos = Robust.Chaos
 module Guard = Robust.Guard
 module Journal = Robust.Journal
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let with_temp f =
-  let path = Filename.temp_file "fixedlen_journal" ".journal" in
-  let rm p = try Sys.remove p with Sys_error _ -> () in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Recovery may have quarantined the file instead of deleting it. *)
-      List.iter rm [ path; path ^ ".quarantine"; path ^ ".quarantine.reason" ])
-    (fun () -> f path)
+open Runner_fixtures
 
 (* Retry *)
 
@@ -672,55 +659,9 @@ let test_journal_validation () =
       | () -> Alcotest.fail "append after close accepted"
       | exception Invalid_argument _ -> ()))
 
-(* Runner-level resilience: resume and chaos-equivalence.
-
-   A deliberately tiny spec (2 strategies x 2 grid points x 25 traces)
-   keeps these end-to-end tests fast. *)
-
-let tiny_spec =
-  {
-    Experiments.Spec.id = "robust-tiny";
-    description = "tiny spec for resilience tests";
-    lambda = 0.01;
-    d = 0.0;
-    cs = [ 5.0 ];
-    t_max = 60.0;
-    t_step = 20.0;
-    strategies = [ Experiments.Spec.Young_daly; Experiments.Spec.Single_final ];
-    n_traces = 25;
-    seed = 7L;
-    failure_dist = Experiments.Spec.Exp;
-    ckpt_noise = Experiments.Spec.Deterministic;
-    platform = None;
-    predictor = None;
-  }
-
-let check_same_result (a : Experiments.Runner.result)
-    (b : Experiments.Runner.result) =
-  let module R = Experiments.Runner in
-  Alcotest.(check int) "curve count" (List.length a.R.curves)
-    (List.length b.R.curves);
-  List.iter2
-    (fun (ca : R.curve) (cb : R.curve) ->
-      Alcotest.(check string) "strategy" ca.R.name cb.R.name;
-      Alcotest.(check int)
-        (ca.R.name ^ " point count")
-        (Array.length ca.R.points) (Array.length cb.R.points);
-      Array.iteri
-        (fun i (pa : R.point) ->
-          let pb = cb.R.points.(i) in
-          let same label x y =
-            Alcotest.(check (float 0.0))
-              (Printf.sprintf "%s[%d] %s bit-exact" ca.R.name i label)
-              x y
-          in
-          same "t" pa.R.t pb.R.t;
-          same "mean" pa.R.mean pb.R.mean;
-          same "ci95" pa.R.ci95 pb.R.ci95;
-          same "failures" pa.R.mean_failures pb.R.mean_failures;
-          same "checkpoints" pa.R.mean_checkpoints pb.R.mean_checkpoints)
-        ca.R.points)
-    a.R.curves b.R.curves
+(* Runner-level resilience: resume and chaos-equivalence, on the tiny
+   spec of {!Runner_fixtures}. The process backend has its own
+   executable, test_isolation. *)
 
 let test_chaos_with_retry_matches_fault_free () =
   Parallel.Pool.with_pool (fun pool ->
@@ -858,59 +799,6 @@ let test_sweep_failure_preserves_completed_points () =
               (fun () -> Experiments.Runner.run ~pool ~journal:j tiny_spec)
           in
           check_same_result full resumed))
-
-let test_process_backend_matches_domains () =
-  (* The fork-based backend must be a drop-in: same curves, bit for bit
-     (Marshal round-trips float bits), with journaling done by the
-     supervising parent instead of the worker. *)
-  Parallel.Pool.with_pool (fun pool ->
-      with_temp (fun path ->
-          let in_process = Experiments.Runner.run ~pool tiny_spec in
-          let key = Experiments.Spec.fingerprint tiny_spec in
-          let j = Journal.open_ ~path ~key () in
-          let isolated =
-            Fun.protect
-              ~finally:(fun () -> Journal.close j)
-              (fun () ->
-                Parallel.Proc_pool.with_pool ~workers:2 (fun pp ->
-                    Experiments.Runner.run ~pool
-                      ~backend:(Experiments.Runner.Processes pp) ~journal:j
-                      tiny_spec))
-          in
-          check_same_result in_process isolated;
-          Alcotest.(check bool) "no deadline, no partial" false
-            isolated.Experiments.Runner.partial;
-          (* Parent-side journaling committed every point. *)
-          let j = Journal.open_ ~strict:true ~path ~key () in
-          Alcotest.(check int) "journaled from the parent" 4 (Journal.length j);
-          Journal.close j))
-
-let test_process_backend_recovers_chaos_hang () =
-  (* A deterministically hung grid point is SIGKILLed by the watchdog and
-     re-dispatched; the re-dispatch draws fresh chaos decisions (the
-     attempt number folds in the dispatch attempt), so the sweep finishes
-     and matches the fault-free curves exactly. *)
-  Parallel.Pool.with_pool (fun pool ->
-      let clean = Experiments.Runner.run ~pool tiny_spec in
-      let chaos = Chaos.create ~hang_rate:0.4 ~seed:5L () in
-      let retry = Retry.make ~attempts:4 ~base_delay:0.0 () in
-      let chaotic =
-        Parallel.Proc_pool.with_pool ~workers:2 ~task_timeout:0.5 ~attempts:4
-          (fun pp ->
-            Experiments.Runner.run ~pool
-              ~backend:(Experiments.Runner.Processes pp) ~retry ~chaos
-              tiny_spec)
-      in
-      (* The real hangs happen in forked children, invisible to this
-         process's counters — assert on the pure decision function
-         instead: some (key, attempt=0) must hang at rate 0.4. *)
-      let struck =
-        List.exists
-          (fun key -> Chaos.should_hang chaos ~key ~attempt:0)
-          (List.init 4 Fun.id)
-      in
-      Alcotest.(check bool) "chaos would hang an attempt" true struck;
-      check_same_result clean chaotic)
 
 let test_deadline_partial_then_resume () =
   Parallel.Pool.with_pool (fun pool ->
@@ -1062,10 +950,6 @@ let () =
             test_partial_resume_completes_the_rest;
           Alcotest.test_case "failed sweep preserves completed points" `Slow
             test_sweep_failure_preserves_completed_points;
-          Alcotest.test_case "process backend matches domains" `Slow
-            test_process_backend_matches_domains;
-          Alcotest.test_case "process backend recovers chaos hang" `Slow
-            test_process_backend_recovers_chaos_hang;
           Alcotest.test_case "deadline partial then resume" `Slow
             test_deadline_partial_then_resume;
           Alcotest.test_case "zero deadline misses everything" `Slow
