@@ -1666,7 +1666,16 @@ let query_cmd =
       "Checkpoints still available when re-planning (with \
        $(b,--recovering)); unconstrained when omitted."
     in
-    Arg.(value & opt (some int) None & info [ "kleft" ] ~docv:"K" ~doc)
+    (* A count: the binary wire has no spelling for a negative one. *)
+    let count =
+      let parse s =
+        match int_of_string_opt s with
+        | Some k when k >= 0 -> Ok k
+        | _ -> Error (Printf.sprintf "expected a non-negative count, got %S" s)
+      in
+      Arg.conv' (parse, Arg.conv_printer Arg.int)
+    in
+    Arg.(value & opt (some count) None & info [ "kleft" ] ~docv:"K" ~doc)
   in
   let recovering_t =
     let doc = "Plan the post-failure (δ = 1) state: recover first." in

@@ -39,34 +39,235 @@ type response =
   | Failed of string
   | Session of int
 
-let g = Printf.sprintf "%.17g"
+(* The schema: one row per message — keyword, tag byte (the row's index
+   plus one) and ordered typed fields. All four codecs interpret these
+   rows, so the text and binary spellings cannot drift apart. *)
 
-let request_to_string = function
-  | Ping -> "ping"
-  | Stats -> "stats"
+type kind =
+  | F64  (** float64 bit pattern; [%.17g] in text *)
+  | I32 of int * int  (** int32, values restricted to [\[lo, hi\]] *)
+  | I64  (** int64 holding any OCaml [int] *)
+  | Kleft  (** int32 in [\[0, 2^31-1\]], [None] spelled [-1] / ["-"] *)
+  | Flag  (** one byte; [0|1] in text *)
+  | Text  (** free text to the end of the payload; a last field only *)
+
+let int32_max = Int32.(to_int max_int)
+let int32 = I32 (Int32.(to_int min_int), int32_max)
+let sid = I32 (1, int32_max)
+
+let all kind names = List.map (fun name -> (name, kind)) names
+let platform_fields = all F64 [ "lambda"; "c"; "r"; "d"; "horizon"; "quantum" ]
+
+let replan_fields = [ ("tleft", F64); ("kleft", Kleft); ("recovering", Flag) ]
+
+let request_rows =
+  [
+    ("ping", []);
+    ("stats", []);
+    ("query", platform_fields @ replan_fields);
+    ("session-open", platform_fields);
+    ("session-query", ("sid", sid) :: replan_fields);
+    ("session-close", [ ("sid", sid) ]);
+  ]
+
+let response_rows =
+  [
+    ("pong", []);
+    ("overloaded", []);
+    ("timeout", []);
+    ("error", [ ("message", Text) ]);
+    ("answer", [ ("next", F64); ("k", int32); ("work", F64) ]);
+    ("stats", all I64 [ "builds"; "hits"; "evictions"; "tables"; "bytes" ]);
+    ("session", [ ("sid", int32) ]);
+  ]
+
+type value = F of float | I of int | K of int option | B of bool | S of string
+
+let ( let* ) = Result.bind
+
+(* The interpreters refuse a field by raising [Refused]; {!decode} and
+   {!to_binary} turn it into an [Error] or an [Invalid_argument]. *)
+exception Refused of string
+
+let refuse fmt = Printf.ksprintf (fun msg -> raise (Refused msg)) fmt
+
+(* Shared validation behind both decoders, so a message is legal or not
+   independently of its spelling. The range rule also guards the binary
+   encoder: a value it cannot spell is refused, never aliased. A NaN or
+   infinite horizon, quantum or tleft is refused rather than reaching
+   the table builder or the quanta clamp. *)
+
+let check_range (name, kind) v =
+  match (kind, v) with
+  | I32 (lo, hi), I i when i < lo || i > hi -> refuse "bad %s %d" name i
+  | Kleft, K (Some k) when k < 0 || k > int32_max -> refuse "bad %s %d" name k
+  | _ -> v
+
+let validate_platform ~lambda ~c ~r ~d ~horizon ~quantum =
+  match Fault.Params.make ~lambda ~c ~r ~d with
+  | exception Invalid_argument msg -> Error msg
+  | _ when not (Float.is_finite quantum && quantum > 0.0) ->
+      Error "quantum must be finite and > 0"
+  | _ when not (Float.is_finite horizon && horizon > 0.0) ->
+      Error "horizon must be finite and > 0"
+  | plat_params ->
+      Ok { plat_params; plat_horizon = horizon; plat_quantum = quantum }
+
+let validate_tleft tleft =
+  if Float.is_finite tleft then Ok tleft else Error "tleft must be finite"
+
+(* Messages to (tag, field values) and back, in row order. *)
+
+let platform_values (p : Fault.Params.t) horizon quantum rest =
+  F p.lambda :: F p.c :: F p.r :: F p.d :: F horizon :: F quantum :: rest
+
+let request_values = function
+  | Ping -> (1, [])
+  | Stats -> (2, [])
   | Query q ->
-      Printf.sprintf
-        "query lambda=%s c=%s r=%s d=%s horizon=%s quantum=%s tleft=%s \
-         kleft=%s recovering=%d"
-        (g q.params.Fault.Params.lambda)
-        (g q.params.Fault.Params.c) (g q.params.Fault.Params.r)
-        (g q.params.Fault.Params.d) (g q.horizon) (g q.quantum) (g q.tleft)
-        (match q.kleft with None -> "-" | Some k -> string_of_int k)
-        (if q.recovering then 1 else 0)
+      ( 3,
+        platform_values q.params q.horizon q.quantum
+          [ F q.tleft; K q.kleft; B q.recovering ] )
   | Session_open p ->
-      Printf.sprintf
-        "session-open lambda=%s c=%s r=%s d=%s horizon=%s quantum=%s"
-        (g p.plat_params.Fault.Params.lambda)
-        (g p.plat_params.Fault.Params.c)
-        (g p.plat_params.Fault.Params.r)
-        (g p.plat_params.Fault.Params.d)
-        (g p.plat_horizon) (g p.plat_quantum)
+      (4, platform_values p.plat_params p.plat_horizon p.plat_quantum [])
   | Session_query sq ->
-      Printf.sprintf "session-query sid=%d tleft=%s kleft=%s recovering=%d"
-        sq.sid (g sq.sq_tleft)
-        (match sq.sq_kleft with None -> "-" | Some k -> string_of_int k)
-        (if sq.sq_recovering then 1 else 0)
-  | Session_close sid -> Printf.sprintf "session-close sid=%d" sid
+      (5, [ I sq.sid; F sq.sq_tleft; K sq.sq_kleft; B sq.sq_recovering ])
+  | Session_close sid -> (6, [ I sid ])
+
+let request_of_values tag values =
+  match (tag, values) with
+  | 1, [] -> Ok Ping
+  | 2, [] -> Ok Stats
+  | (3 | 4), F lambda :: F c :: F r :: F d :: F horizon :: F quantum :: rest
+    -> (
+      let* p = validate_platform ~lambda ~c ~r ~d ~horizon ~quantum in
+      match (tag, rest) with
+      | 3, [ F tleft; K kleft; B recovering ] ->
+          let* tleft = validate_tleft tleft in
+          let params = p.plat_params in
+          Ok (Query { params; horizon; quantum; tleft; kleft; recovering })
+      | 4, [] -> Ok (Session_open p)
+      | _ -> Error "request fields out of shape")
+  | 5, [ I sid; F tleft; K sq_kleft; B sq_recovering ] ->
+      let* sq_tleft = validate_tleft tleft in
+      Ok (Session_query { sid; sq_tleft; sq_kleft; sq_recovering })
+  | 6, [ I sid ] -> Ok (Session_close sid)
+  | _ -> Error "request fields out of shape"
+
+let response_values = function
+  | Pong -> (1, [])
+  | Overloaded -> (2, [])
+  | Timeout -> (3, [])
+  | Failed msg -> (4, [ S msg ])
+  | Answer a -> (5, [ F a.next; I a.k; F a.work ])
+  | Stats_reply s ->
+      ( 6,
+        [
+          I s.Experiments.Strategy.Cache.s_builds; I s.s_hits;
+          I s.s_evictions; I s.s_resident_tables; I s.s_resident_bytes;
+        ] )
+  | Session sid -> (7, [ I sid ])
+
+let response_of_values tag values =
+  match (tag, values) with
+  | 1, [] -> Ok Pong
+  | 2, [] -> Ok Overloaded
+  | 3, [] -> Ok Timeout
+  | 4, [ S msg ] -> Ok (Failed msg)
+  | 5, [ F next; I k; F work ] -> Ok (Answer { next; k; work })
+  | 6, [ I builds; I hits; I evictions; I tables; I bytes ] ->
+      Ok
+        (Stats_reply
+           {
+             Experiments.Strategy.Cache.s_builds = builds;
+             s_hits = hits;
+             s_evictions = evictions;
+             s_resident_tables = tables;
+             s_resident_bytes = bytes;
+           })
+  | 7, [ I sid ] -> Ok (Session sid)
+  | _ -> Error "response fields out of shape"
+
+type shape = {
+  keyword : string;
+  fields : (string * kind) list;
+  size : int;  (** binary bytes after the tag, free text excluded *)
+  free : bool;  (** the last field is [Text] *)
+}
+
+type 'm codec = {
+  what : string;
+  shapes : shape array;  (** indexed by tag - 1 *)
+  values : 'm -> int * value list;
+  of_values : int -> value list -> ('m, string) result;
+}
+
+let width = function F64 | I64 -> 8 | I32 _ | Kleft -> 4 | Flag -> 1 | Text -> 0
+
+let codec what rows values of_values =
+  let shape (keyword, fields) =
+    let size = List.fold_left (fun n (_, k) -> n + width k) 0 fields in
+    let free = List.exists (fun (_, k) -> k = Text) fields in
+    { keyword; fields; size; free }
+  in
+  { what; shapes = Array.of_list (List.map shape rows); values; of_values }
+
+let requests = codec "request" request_rows request_values request_of_values
+
+let responses =
+  codec "response" response_rows response_values response_of_values
+
+(* Read the fields of row [tag] in order — [read] gets each field's
+   binary offset too — range-check each, and hand the values to the
+   codec's validation. *)
+let decode codec tag read =
+  let rec fields at = function
+    | [] -> []
+    | f :: rest ->
+        let v = check_range f (read at f) in
+        v :: fields (at + width (snd f)) rest
+  in
+  match fields 1 codec.shapes.(tag - 1).fields with
+  | values -> codec.of_values tag values
+  | exception Refused msg -> Error msg
+
+(* Text: [keyword name=value ...], floats as [%.17g], a [Text] field
+   bare after the keyword. *)
+
+let render = function
+  | F x -> Printf.sprintf "%.17g" x
+  | I i | K (Some i) -> string_of_int i
+  | K None -> "-"
+  | B b -> if b then "1" else "0"
+  | S s -> s
+
+let to_string codec m =
+  let tag, values = codec.values m in
+  let shape = codec.shapes.(tag - 1) in
+  let b = Buffer.create 128 in
+  Buffer.add_string b shape.keyword;
+  List.iter2
+    (fun (name, kind) v ->
+      Buffer.add_char b ' ';
+      if kind <> Text then Buffer.add_string b (name ^ "=");
+      Buffer.add_string b (render v))
+    shape.fields values;
+  Buffer.contents b
+
+let parse (name, kind) text =
+  let bad what = refuse "bad %s %S for %S" what text name in
+  match kind with
+  | Text -> S text
+  | F64 -> (
+      match float_of_string_opt text with Some f -> F f | None -> bad "float")
+  | Kleft when text = "-" -> K None
+  | Kleft | Flag | I32 _ | I64 -> (
+      match (kind, int_of_string_opt text) with
+      | _, None -> bad "int"
+      | Kleft, Some k -> K (Some k)
+      | Flag, Some ((0 | 1) as b) -> B (b = 1)
+      | Flag, Some _ -> refuse "%s must be 0 or 1" name
+      | _, Some i -> I i)
 
 (* key=value fields after the leading keyword; order-insensitive,
    duplicates rejected, every field mandatory — a stricter parse than
@@ -86,383 +287,103 @@ let fields_of tokens =
   in
   go [] tokens
 
-let float_field fields name =
-  match List.assoc_opt name fields with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "bad float %S for %S" v name))
+(* A free-text field is everything after the keyword's one separating
+   space, verbatim: the frame already delimits it. *)
+let free_text text keyword =
+  let n = String.length text in
+  let rec lead i =
+    if i < n && String.contains " \012\n\r\t" text.[i] then lead (i + 1) else i
+  in
+  let i = lead 0 + String.length keyword in
+  if i < n && text.[i] = ' ' then String.sub text (i + 1) (n - i - 1) else ""
 
-let int_field fields name =
-  match List.assoc_opt name fields with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "bad int %S for %S" v name))
-
-let ( let* ) = Result.bind
-
-(* Shared validation behind both the text and binary decoders, so a
-   query is legal or not independently of its spelling. A NaN or
-   infinite horizon, quantum or tleft is refused here rather than
-   reaching the table builder or the quanta clamp. *)
-
-let validate_params ~lambda ~c ~r ~d =
-  match Fault.Params.make ~lambda ~c ~r ~d with
-  | p -> Ok p
-  | exception Invalid_argument msg -> Error msg
-
-let validate_platform ~lambda ~c ~r ~d ~horizon ~quantum =
-  let* plat_params = validate_params ~lambda ~c ~r ~d in
-  if not (Float.is_finite quantum && quantum > 0.0) then
-    Error "quantum must be finite and > 0"
-  else if not (Float.is_finite horizon && horizon > 0.0) then
-    Error "horizon must be finite and > 0"
-  else Ok { plat_params; plat_horizon = horizon; plat_quantum = quantum }
-
-let validate_tleft tleft =
-  if Float.is_finite tleft then Ok tleft else Error "tleft must be finite"
-
-let query_of_platform p ~tleft ~kleft ~recovering =
-  let* tleft = validate_tleft tleft in
-  Ok
-    {
-      params = p.plat_params;
-      horizon = p.plat_horizon;
-      quantum = p.plat_quantum;
-      tleft;
-      kleft;
-      recovering;
-    }
-
-let validate_query ~lambda ~c ~r ~d ~horizon ~quantum ~tleft ~kleft ~recovering
-    =
-  let* p = validate_platform ~lambda ~c ~r ~d ~horizon ~quantum in
-  query_of_platform p ~tleft ~kleft ~recovering
-
-let validate_session_query ~sid ~tleft ~kleft ~recovering =
-  if sid < 1 then Error (Printf.sprintf "bad sid %d" sid)
-  else
-    let* sq_tleft = validate_tleft tleft in
-    Ok { sid; sq_tleft; sq_kleft = kleft; sq_recovering = recovering }
-
-let kleft_field fields =
-  match List.assoc_opt "kleft" fields with
-  | None -> Error "missing field \"kleft\""
-  | Some "-" -> Ok None
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some k when k >= 0 -> Ok (Some k)
-      | _ -> Error (Printf.sprintf "bad kleft %S" v))
-
-let recovering_field fields =
-  let* i = int_field fields "recovering" in
-  match i with
-  | 0 -> Ok false
-  | 1 -> Ok true
-  | _ -> Error "recovering must be 0 or 1"
-
-let platform_fields fields =
-  let* lambda = float_field fields "lambda" in
-  let* c = float_field fields "c" in
-  let* r = float_field fields "r" in
-  let* d = float_field fields "d" in
-  let* horizon = float_field fields "horizon" in
-  let* quantum = float_field fields "quantum" in
-  validate_platform ~lambda ~c ~r ~d ~horizon ~quantum
-
-let query_of_fields fields =
-  let* p = platform_fields fields in
-  let* tleft = float_field fields "tleft" in
-  let* kleft = kleft_field fields in
-  let* recovering = recovering_field fields in
-  query_of_platform p ~tleft ~kleft ~recovering
-
-let session_query_of_fields fields =
-  let* sid = int_field fields "sid" in
-  let* tleft = float_field fields "tleft" in
-  let* kleft = kleft_field fields in
-  let* recovering = recovering_field fields in
-  validate_session_query ~sid ~tleft ~kleft ~recovering
-
-let request_of_string text =
+let of_string codec text =
   match String.split_on_char ' ' (String.trim text) with
-  | [ "ping" ] -> Ok Ping
-  | [ "stats" ] -> Ok Stats
-  | "query" :: rest ->
-      let* fields = fields_of rest in
-      let* q = query_of_fields fields in
-      Ok (Query q)
-  | "session-open" :: rest ->
-      let* fields = fields_of rest in
-      let* p = platform_fields fields in
-      Ok (Session_open p)
-  | "session-query" :: rest ->
-      let* fields = fields_of rest in
-      let* sq = session_query_of_fields fields in
-      Ok (Session_query sq)
-  | "session-close" :: rest ->
-      let* fields = fields_of rest in
-      let* sid = int_field fields "sid" in
-      if sid < 1 then Error (Printf.sprintf "bad sid %d" sid)
-      else Ok (Session_close sid)
-  | keyword :: _ -> Error (Printf.sprintf "unknown request %S" keyword)
-  | [] -> Error "empty request"
+  | [] | [ "" ] -> Error ("empty " ^ codec.what)
+  | keyword :: tokens -> (
+      match
+        Array.find_index (fun s -> String.equal s.keyword keyword) codec.shapes
+      with
+      | None -> Error (Printf.sprintf "unknown %s %S" codec.what keyword)
+      | Some i -> (
+          let shape = codec.shapes.(i) in
+          if shape.free then
+            decode codec (i + 1) (fun _ _ -> S (free_text text keyword))
+          else if shape.fields = [] && tokens <> [] then
+            Error (Printf.sprintf "%S takes no fields" keyword)
+          else
+            let* fields = fields_of tokens in
+            decode codec (i + 1) (fun _ ((name, _) as field) ->
+                match List.assoc_opt name fields with
+                | None -> refuse "missing field %S" name
+                | Some v -> parse field v)))
 
-let response_to_string = function
-  | Pong -> "pong"
-  | Overloaded -> "overloaded"
-  | Timeout -> "timeout"
-  | Failed msg -> "error " ^ msg
-  | Answer a -> Printf.sprintf "answer next=%s k=%d work=%s" (g a.next) a.k (g a.work)
-  | Session sid -> Printf.sprintf "session sid=%d" sid
-  | Stats_reply s ->
-      Printf.sprintf "stats builds=%d hits=%d evictions=%d tables=%d bytes=%d"
-        s.Experiments.Strategy.Cache.s_builds s.s_hits s.s_evictions
-        s.s_resident_tables s.s_resident_bytes
+(* Binary: the tag byte, then each field little-endian at a fixed
+   offset — float64 bit patterns, int32/int64 counters, one flag byte —
+   and a trailing free-text field raw. *)
 
-let response_of_string text =
-  let text = String.trim text in
-  match String.split_on_char ' ' text with
-  | [ "pong" ] -> Ok Pong
-  | [ "overloaded" ] -> Ok Overloaded
-  | [ "timeout" ] -> Ok Timeout
-  | "error" :: _ ->
-      (* the message is free text: everything after the keyword *)
-      let msg =
-        if String.length text > 6 then String.sub text 6 (String.length text - 6)
-        else ""
-      in
-      Ok (Failed msg)
-  | "answer" :: rest ->
-      let* fields = fields_of rest in
-      let* next = float_field fields "next" in
-      let* k = int_field fields "k" in
-      let* work = float_field fields "work" in
-      Ok (Answer { next; k; work })
-  | "session" :: rest ->
-      let* fields = fields_of rest in
-      let* sid = int_field fields "sid" in
-      Ok (Session sid)
-  | "stats" :: rest ->
-      let* fields = fields_of rest in
-      let* s_builds = int_field fields "builds" in
-      let* s_hits = int_field fields "hits" in
-      let* s_evictions = int_field fields "evictions" in
-      let* s_resident_tables = int_field fields "tables" in
-      let* s_resident_bytes = int_field fields "bytes" in
-      Ok
-        (Stats_reply
-           {
-             Experiments.Strategy.Cache.s_builds;
-             s_hits;
-             s_evictions;
-             s_resident_tables;
-             s_resident_bytes;
-           })
-  | keyword :: _ -> Error (Printf.sprintf "unknown response %S" keyword)
-  | [] -> Error "empty response"
+let to_binary codec m =
+  let tag, values = codec.values m in
+  let shape = codec.shapes.(tag - 1) in
+  let size n = function S s -> n + String.length s | _ -> n in
+  let b = Bytes.create (List.fold_left size (1 + shape.size) values) in
+  let put off ((_, kind) as field) v =
+    (match (kind, check_range field v) with
+    | I64, I i -> Bytes.set_int64_le b off (Int64.of_int i)
+    | _, I i -> Bytes.set_int32_le b off (Int32.of_int i)
+    | _, F x -> Bytes.set_int64_le b off (Int64.bits_of_float x)
+    | _, K k ->
+        Bytes.set_int32_le b off (Int32.of_int (Option.value k ~default:(-1)))
+    | _, B x -> Bytes.set b off (if x then '\001' else '\000')
+    | _, S s -> Bytes.blit_string s 0 b off (String.length s));
+    off + width kind
+  in
+  Bytes.set b 0 (Char.chr tag);
+  match List.fold_left2 put 1 shape.fields values with
+  | _ -> Bytes.unsafe_to_string b
+  | exception Refused msg -> invalid_arg ("Protocol.to_binary: " ^ msg)
 
-(* Binary codec: one tag byte, then a fixed little-endian layout per
-   variant — float64 bit patterns, int32 counters, [-1] spelling an
-   absent [kleft]. The layout exists for the hot path only: the journal
-   and every human surface keep the text spelling, and the server
-   re-encodes binary requests to canonical text before journaling. *)
+let get s at (name, kind) =
+  match kind with
+  | F64 -> F (Int64.float_of_bits (String.get_int64_le s at))
+  | I32 _ -> I (Int32.to_int (String.get_int32_le s at))
+  | Kleft ->
+      let k = Int32.to_int (String.get_int32_le s at) in
+      K (if k = -1 then None else Some k)
+  | I64 ->
+      let x = String.get_int64_le s at in
+      if Int64.(equal (of_int (to_int x)) x) then I (Int64.to_int x)
+      else refuse "bad %s %Ld" name x
+  | Flag -> (
+      match s.[at] with
+      | '\000' -> B false
+      | '\001' -> B true
+      | c -> refuse "bad boolean byte %d" (Char.code c))
+  | Text -> S (String.sub s at (String.length s - at))
 
-let tag_ping = '\001'
-let tag_stats = '\002'
-let tag_query = '\003'
-let tag_session_open = '\004'
-let tag_session_query = '\005'
-let tag_session_close = '\006'
-
-let rtag_pong = '\001'
-let rtag_overloaded = '\002'
-let rtag_timeout = '\003'
-let rtag_failed = '\004'
-let rtag_answer = '\005'
-let rtag_stats = '\006'
-let rtag_session = '\007'
-
-let put_float b off v = Bytes.set_int64_le b off (Int64.bits_of_float v)
-let get_float s off = Int64.float_of_bits (String.get_int64_le s off)
-let put_int32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
-let get_int32 s off = Int32.to_int (String.get_int32_le s off)
-
-let put_kleft b off = function
-  | None -> put_int32 b off (-1)
-  | Some k -> put_int32 b off k
-
-let get_kleft s off =
-  match get_int32 s off with
-  | -1 -> Ok None
-  | k when k >= 0 -> Ok (Some k)
-  | k -> Error (Printf.sprintf "bad kleft %d" k)
-
-let request_to_binary = function
-  | Ping -> String.make 1 tag_ping
-  | Stats -> String.make 1 tag_stats
-  | Query q ->
-      let b = Bytes.create 62 in
-      Bytes.set b 0 tag_query;
-      put_float b 1 q.params.Fault.Params.lambda;
-      put_float b 9 q.params.Fault.Params.c;
-      put_float b 17 q.params.Fault.Params.r;
-      put_float b 25 q.params.Fault.Params.d;
-      put_float b 33 q.horizon;
-      put_float b 41 q.quantum;
-      put_float b 49 q.tleft;
-      put_kleft b 57 q.kleft;
-      Bytes.set b 61 (if q.recovering then '\001' else '\000');
-      Bytes.unsafe_to_string b
-  | Session_open p ->
-      let b = Bytes.create 49 in
-      Bytes.set b 0 tag_session_open;
-      put_float b 1 p.plat_params.Fault.Params.lambda;
-      put_float b 9 p.plat_params.Fault.Params.c;
-      put_float b 17 p.plat_params.Fault.Params.r;
-      put_float b 25 p.plat_params.Fault.Params.d;
-      put_float b 33 p.plat_horizon;
-      put_float b 41 p.plat_quantum;
-      Bytes.unsafe_to_string b
-  | Session_query sq ->
-      let b = Bytes.create 18 in
-      Bytes.set b 0 tag_session_query;
-      put_int32 b 1 sq.sid;
-      put_float b 5 sq.sq_tleft;
-      put_kleft b 13 sq.sq_kleft;
-      Bytes.set b 17 (if sq.sq_recovering then '\001' else '\000');
-      Bytes.unsafe_to_string b
-  | Session_close sid ->
-      let b = Bytes.create 5 in
-      Bytes.set b 0 tag_session_close;
-      put_int32 b 1 sid;
-      Bytes.unsafe_to_string b
-
-let bool_byte s off =
-  match s.[off] with
-  | '\000' -> Ok false
-  | '\001' -> Ok true
-  | c -> Error (Printf.sprintf "bad boolean byte %d" (Char.code c))
-
-let expect_len s n what =
-  if String.length s = n then Ok ()
+let of_binary codec s =
+  let len = String.length s in
+  if len = 0 then Error ("empty " ^ codec.what)
   else
-    Error
-      (Printf.sprintf "%s payload is %d bytes, expected %d" what
-         (String.length s) n)
+    let tag = Char.code s.[0] in
+    if tag < 1 || tag > Array.length codec.shapes then
+      Error (Printf.sprintf "unknown %s tag %d" codec.what tag)
+    else
+      let shape = codec.shapes.(tag - 1) in
+      if len <> 1 + shape.size && not (shape.free && len > shape.size) then
+        Error
+          (Printf.sprintf "%s payload is %d bytes, expected %d" shape.keyword
+             len (1 + shape.size))
+      else decode codec tag (get s)
 
-let request_of_binary s =
-  if String.length s = 0 then Error "empty request"
-  else
-    match s.[0] with
-    | c when Char.equal c tag_ping ->
-        let* () = expect_len s 1 "ping" in
-        Ok Ping
-    | c when Char.equal c tag_stats ->
-        let* () = expect_len s 1 "stats" in
-        Ok Stats
-    | c when Char.equal c tag_query ->
-        let* () = expect_len s 62 "query" in
-        let* kleft = get_kleft s 57 in
-        let* recovering = bool_byte s 61 in
-        let* q =
-          validate_query ~lambda:(get_float s 1) ~c:(get_float s 9)
-            ~r:(get_float s 17) ~d:(get_float s 25) ~horizon:(get_float s 33)
-            ~quantum:(get_float s 41) ~tleft:(get_float s 49) ~kleft
-            ~recovering
-        in
-        Ok (Query q)
-    | c when Char.equal c tag_session_open ->
-        let* () = expect_len s 49 "session-open" in
-        let* p =
-          validate_platform ~lambda:(get_float s 1) ~c:(get_float s 9)
-            ~r:(get_float s 17) ~d:(get_float s 25) ~horizon:(get_float s 33)
-            ~quantum:(get_float s 41)
-        in
-        Ok (Session_open p)
-    | c when Char.equal c tag_session_query ->
-        let* () = expect_len s 18 "session-query" in
-        let* kleft = get_kleft s 13 in
-        let* recovering = bool_byte s 17 in
-        let* sq =
-          validate_session_query ~sid:(get_int32 s 1) ~tleft:(get_float s 5)
-            ~kleft ~recovering
-        in
-        Ok (Session_query sq)
-    | c when Char.equal c tag_session_close ->
-        let* () = expect_len s 5 "session-close" in
-        let sid = get_int32 s 1 in
-        if sid < 1 then Error (Printf.sprintf "bad sid %d" sid)
-        else Ok (Session_close sid)
-    | c -> Error (Printf.sprintf "unknown request tag %d" (Char.code c))
-
-let response_to_binary = function
-  | Pong -> String.make 1 rtag_pong
-  | Overloaded -> String.make 1 rtag_overloaded
-  | Timeout -> String.make 1 rtag_timeout
-  | Failed msg -> String.make 1 rtag_failed ^ msg
-  | Answer a ->
-      let b = Bytes.create 21 in
-      Bytes.set b 0 rtag_answer;
-      put_float b 1 a.next;
-      put_int32 b 9 a.k;
-      put_float b 13 a.work;
-      Bytes.unsafe_to_string b
-  | Stats_reply s ->
-      let b = Bytes.create 41 in
-      Bytes.set b 0 rtag_stats;
-      Bytes.set_int64_le b 1
-        (Int64.of_int s.Experiments.Strategy.Cache.s_builds);
-      Bytes.set_int64_le b 9 (Int64.of_int s.s_hits);
-      Bytes.set_int64_le b 17 (Int64.of_int s.s_evictions);
-      Bytes.set_int64_le b 25 (Int64.of_int s.s_resident_tables);
-      Bytes.set_int64_le b 33 (Int64.of_int s.s_resident_bytes);
-      Bytes.unsafe_to_string b
-  | Session sid ->
-      let b = Bytes.create 5 in
-      Bytes.set b 0 rtag_session;
-      put_int32 b 1 sid;
-      Bytes.unsafe_to_string b
-
-let response_of_binary s =
-  if String.length s = 0 then Error "empty response"
-  else
-    match s.[0] with
-    | c when Char.equal c rtag_pong ->
-        let* () = expect_len s 1 "pong" in
-        Ok Pong
-    | c when Char.equal c rtag_overloaded ->
-        let* () = expect_len s 1 "overloaded" in
-        Ok Overloaded
-    | c when Char.equal c rtag_timeout ->
-        let* () = expect_len s 1 "timeout" in
-        Ok Timeout
-    | c when Char.equal c rtag_failed ->
-        Ok (Failed (String.sub s 1 (String.length s - 1)))
-    | c when Char.equal c rtag_answer ->
-        let* () = expect_len s 21 "answer" in
-        Ok
-          (Answer
-             { next = get_float s 1; k = get_int32 s 9; work = get_float s 13 })
-    | c when Char.equal c rtag_stats ->
-        let* () = expect_len s 41 "stats" in
-        let int64 off = Int64.to_int (String.get_int64_le s off) in
-        Ok
-          (Stats_reply
-             {
-               Experiments.Strategy.Cache.s_builds = int64 1;
-               s_hits = int64 9;
-               s_evictions = int64 17;
-               s_resident_tables = int64 25;
-               s_resident_bytes = int64 33;
-             })
-    | c when Char.equal c rtag_session ->
-        let* () = expect_len s 5 "session" in
-        Ok (Session (get_int32 s 1))
-    | c -> Error (Printf.sprintf "unknown response tag %d" (Char.code c))
+let request_to_string = to_string requests
+let request_of_string = of_string requests
+let response_to_string = to_string responses
+let response_of_string = of_string responses
+let request_to_binary = to_binary requests
+let request_of_binary = of_binary requests
+let response_to_binary = to_binary responses
+let response_of_binary = of_binary responses
 
 let render_response = function
   | Pong -> "pong"

@@ -1,44 +1,55 @@
 (** The serve request/reply language.
 
+    One schema is the single source of both spellings: a row per message
+    with its keyword, its binary tag byte and its ordered typed fields.
+    The eight codecs below only interpret those rows, so the spellings
+    cannot drift apart and adding a field is a one-row change.
+
     The canonical spelling is one line of [key=value] text per message,
     floats rendered with [%.17g] so every query parameter round-trips
     exactly — two clients asking about the same platform hash to the
     same cache key on the server, and a journaled request replays
     bit-identically. Parsing is total: a malformed payload becomes an
     [Error] string (answered as {!Failed}), never an exception out of a
-    worker.
+    worker. Requests, then replies, with their tags:
 
-    Requests:
     {v
-    ping
-    stats
-    query lambda=G c=G r=G d=G horizon=G quantum=G tleft=G kleft=(INT|-) recovering=(0|1)
-    session-open lambda=G c=G r=G d=G horizon=G quantum=G
-    session-query sid=N tleft=G kleft=(INT|-) recovering=(0|1)
-    session-close sid=N
+    ping                                                        1
+    stats                                                       2
+    query lambda=G c=G r=G d=G horizon=G quantum=G              3
+          tleft=G kleft=(INT|-) recovering=(0|1)
+    session-open lambda=G c=G r=G d=G horizon=G quantum=G       4
+    session-query sid=N tleft=G kleft=(INT|-) recovering=(0|1)  5
+    session-close sid=N                                         6
+
+    pong                                                        1
+    overloaded                                                  2
+    timeout                                                     3
+    error MESSAGE                                               4
+    answer next=G k=N work=G                                    5
+    stats builds=N hits=N evictions=N tables=N bytes=N          6
+    session sid=N                                               7
     v}
 
-    Replies:
-    {v
-    pong
-    stats builds=N hits=N evictions=N tables=N bytes=N
-    answer next=G k=N work=G
-    session sid=N
-    overloaded
-    timeout
-    error MESSAGE
-    v}
+    [error]'s MESSAGE is free text: everything after the keyword and
+    one space, verbatim, whitespace included — the frame delimits it.
 
-    A fixed-layout binary spelling of the same messages exists for the
-    hot path ({!request_to_binary} and friends): one tag byte, then
-    little-endian float64 bit patterns and int32/int64 counters, with
-    [kleft = None] spelled as int32 [-1]. Both spellings decode through
-    the same validation — valid failure parameters, a finite positive
-    horizon and quantum, a finite [tleft], a positive session id — so a
-    query is legal or not independently of its encoding — and the
-    binary spelling never reaches the journal
-    (the server re-encodes to canonical text first), so crash-recovery
-    replay stays bit-identical whatever the client spoke. *)
+    The binary spelling ({!request_to_binary} and friends) is the tag
+    byte, then each field little-endian at a fixed offset: float64 bit
+    patterns for [G], one byte for [recovering], int64 for the [stats]
+    counters, int32 for every other int. Each int field declares one
+    range: a request's [sid] is in [\[1, 2^31-1\]]; [kleft] is in
+    [\[0, 2^31-1\]] or [None] (int32 [-1] in binary); [k] and a reply's
+    [sid] are any int32; the counters are any OCaml [int]. A binary
+    encoder raises [Invalid_argument] on a value outside its field's
+    range rather than alias it, and both decoders refuse one.
+
+    Both spellings decode through the same validation — valid failure
+    parameters, a finite positive horizon and quantum, a finite
+    [tleft], the ranges above — so a message is legal or not
+    independently of its encoding. The server journals each decoded
+    query as {!request_to_string}, so crash-recovery replay stays
+    bit-identical whatever the client spoke. *)
 
 type query = {
   params : Fault.Params.t;

@@ -41,22 +41,19 @@ and conn = {
   mutable alive : bool;
 }
 
-let is_query payload =
-  String.length payload >= 5 && String.equal (String.sub payload 0 5) "query"
-
-(* Journal the request before answering it. Best-effort on injected
-   I/O errors (Framed.append already repaired the tail, a failed seal
-   leaves the live writer intact; the answer is worth more than the
-   journal line) — but a chaos {e crash} point is a SIGKILL inside the
-   append, which is the whole point of the drill. *)
-let journal_line t payload =
+(* Journal a decoded query, as canonical text, before answering it.
+   Best-effort on injected I/O errors (Framed.append already repaired
+   the tail, a failed seal leaves the live writer intact; the answer is
+   worth more than the journal line) — but a chaos {e crash} point is a
+   SIGKILL inside the append, which is the whole point of the drill. *)
+let journal_query t req =
   match t.journal with
   | Some log -> (
       Mutex.lock t.journal_lock;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.journal_lock)
         (fun () ->
-          try Seglog.append log payload
+          try Seglog.append log (Protocol.request_to_string req)
           with Unix.Unix_error _ | Sys_error _ -> ()))
   | None -> ()
 
@@ -97,64 +94,56 @@ type event =
   | Batch_item of (Protocol.request, string) result
       (** goes to the handler with the rest of the round's batch *)
 
-(* Decode one payload, journal what must survive a crash, and resolve
-   session requests against the session table.
+(* Decode one payload, resolve session requests against the session
+   table, and journal every query that will be answered.
 
-   Journal discipline — the journal is canonical text, always:
-   - text-mode [query ...] payloads are journaled as the raw bytes that
-     crossed the wire (they are already canonical text; byte-identity
-     with the wire is what the crash drill compares);
-   - binary queries are re-encoded through [request_to_string] first;
-   - session queries are journaled only after resolving, as the full
-     canonical [query ...] line — sids are not durable, the resolved
-     platform is, so replay after a crash is bit-identical without the
-     session table. *)
+   Journal discipline — the journal holds canonical text only: each
+   decoded [Query], whether it arrived as text, as binary or as a
+   resolved session query, is appended as [request_to_string]. Rejected
+   payloads never reach it, and two spellings of one query append the
+   same bytes. Sids are not durable, the resolved platform is, so
+   replay after a crash is bit-identical without the session table. *)
 let decode t c payload =
-  let journaling = t.journal <> None in
   let req =
     match Wire.mode c.wire with
-    | Wire.Text ->
-        if journaling && is_query payload then journal_line t payload;
-        Protocol.request_of_string payload
-    | Wire.Binary -> (
-        match Protocol.request_of_binary payload with
-        | Ok (Protocol.Query _ as r) ->
-            (* The %.17g re-encoding is pure journal work; skip it on
-               the hot path when nothing is journaled. *)
-            if journaling then journal_line t (Protocol.request_to_string r);
-            Ok r
-        | r -> r)
+    | Wire.Text -> Protocol.request_of_string payload
+    | Wire.Binary -> Protocol.request_of_binary payload
   in
-  match req with
-  | Ok (Protocol.Session_open p) ->
-      Direct (Protocol.Session (Session.open_ t.sessions p))
-  | Ok (Protocol.Session_close sid) ->
-      if Session.close t.sessions sid then Direct (Protocol.Session sid)
-      else Direct (Protocol.Failed (Printf.sprintf "unknown session sid=%d" sid))
-  | Ok (Protocol.Session_query sq) -> (
-      match
-        Session.resolve t.sessions ~sid:sq.Protocol.sid
-          ~tleft:sq.Protocol.sq_tleft ~recovering:sq.Protocol.sq_recovering
-      with
-      | None ->
-          Direct
-            (Protocol.Failed
-               (Printf.sprintf "unknown session sid=%d" sq.Protocol.sid))
-      | Some plat ->
-          let q =
-            {
-              Protocol.params = plat.Protocol.plat_params;
-              horizon = plat.Protocol.plat_horizon;
-              quantum = plat.Protocol.plat_quantum;
-              tleft = sq.Protocol.sq_tleft;
-              kleft = sq.Protocol.sq_kleft;
-              recovering = sq.Protocol.sq_recovering;
-            }
-          in
-          if journaling then
-            journal_line t (Protocol.request_to_string (Protocol.Query q));
-          Batch_item (Ok (Protocol.Query q)))
-  | r -> Batch_item r
+  let event =
+    match req with
+    | Ok (Protocol.Session_open p) ->
+        Direct (Protocol.Session (Session.open_ t.sessions p))
+    | Ok (Protocol.Session_close sid) ->
+        if Session.close t.sessions sid then Direct (Protocol.Session sid)
+        else
+          Direct (Protocol.Failed (Printf.sprintf "unknown session sid=%d" sid))
+    | Ok (Protocol.Session_query sq) -> (
+        match
+          Session.resolve t.sessions ~sid:sq.Protocol.sid
+            ~tleft:sq.Protocol.sq_tleft ~recovering:sq.Protocol.sq_recovering
+        with
+        | None ->
+            Direct
+              (Protocol.Failed
+                 (Printf.sprintf "unknown session sid=%d" sq.Protocol.sid))
+        | Some plat ->
+            Batch_item
+              (Ok
+                 (Protocol.Query
+                    {
+                      Protocol.params = plat.Protocol.plat_params;
+                      horizon = plat.Protocol.plat_horizon;
+                      quantum = plat.Protocol.plat_quantum;
+                      tleft = sq.Protocol.sq_tleft;
+                      kleft = sq.Protocol.sq_kleft;
+                      recovering = sq.Protocol.sq_recovering;
+                    })))
+    | r -> Batch_item r
+  in
+  (match event with
+  | Batch_item (Ok (Protocol.Query _ as q)) -> journal_query t q
+  | _ -> ());
+  event
 
 let read_frame t c =
   match Wire.recv c.wire with

@@ -37,8 +37,8 @@
       requests it recovered, and serves again — and because answers are
       pure functions of the tables, re-asked queries produce
       bit-identical replies after the crash. The journal is canonical
-      text whatever the client spoke: binary and session queries are
-      re-encoded before the append.
+      text whatever the client spoke: every decoded query — text,
+      binary or resolved session — is appended as its canonical line.
     - {e chaos}: [chaos] injects faults into the handler (answered as
       typed errors); [chaos_fs] injects filesystem faults — including
       named crash points — into the journal writes, which is how the

@@ -10,15 +10,15 @@
     Reusing the journal framing buys the wire the same properties the
     on-disk store has: a frame torn by a dying peer or a corrupted byte
     is detected by the length/checksum pair and rejected as {!Torn},
-    never half-parsed, and the serve request journal can store request
-    payloads byte-identically to how they crossed the wire.
+    never half-parsed, and a canonical text request is framed the same
+    way on the wire and in the serve request journal.
 
     {e Binary} mode replaces the decimal rendering with a fixed layout —
     4-byte little-endian length, payload, 8-byte little-endian FNV-1a 64
     checksum — for hot paths where the [%.17g] round-trip is the cost
     that matters. It is opt-in per connection via the hello below; the
-    journal never stores binary bytes (the server re-encodes journaled
-    requests to canonical text first).
+    journal never stores binary bytes (the server journals every decoded
+    query as canonical text).
 
     {e Hello negotiation}: a client that wants binary framing (or a
     non-default frame bound) opens with a 5-byte hello

@@ -92,6 +92,9 @@ let all_responses =
         s_resident_bytes = 393786;
       };
     Protocol.Failed "bad float \"nope\" for \"lambda\"";
+    (* the message is free text: trailing whitespace is part of it *)
+    Protocol.Failed "x ";
+    Protocol.Failed "x\n";
     Protocol.Session 42;
   ]
 
@@ -105,6 +108,73 @@ let test_response_round_trip () =
       | Ok _ -> Alcotest.failf "%S parsed back differently" spelled
       | Error e -> Alcotest.failf "%S rejected: %s" spelled e)
     responses
+
+(* The exact bytes of every spelling above — text, and binary in hex —
+   so a codec refactor cannot move the wire format or the journal. *)
+let golden_requests =
+  [
+    ("ping", "01");
+    ("stats", "02");
+    ( "query lambda=0.001 c=20 r=20 d=0 horizon=500 quantum=1 tleft=500 \
+       kleft=- recovering=0",
+      "03fca9f1d24d62503f0000000000003440000000000000344000000000000000\
+       000000000000407f40000000000000f03f0000000000407f40ffffffff00" );
+    ( "query lambda=0.001 c=20 r=20 d=0 horizon=500 quantum=1 tleft=120.5 \
+       kleft=3 recovering=1",
+      "03fca9f1d24d62503f0000000000003440000000000000344000000000000000\
+       000000000000407f40000000000000f03f0000000000205e400300000001" );
+    ( "query lambda=0.001 c=20 r=20 d=0 horizon=500 \
+       quantum=0.33333333333333331 tleft=500 kleft=- recovering=0",
+      "03fca9f1d24d62503f0000000000003440000000000000344000000000000000\
+       000000000000407f40555555555555d53f0000000000407f40ffffffff00" );
+    ( "session-open lambda=0.001 c=20 r=20 d=0 horizon=500 quantum=1",
+      "04fca9f1d24d62503f0000000000003440000000000000344000000000000000\
+       000000000000407f40000000000000f03f" );
+    ( "session-query sid=7 tleft=120.5 kleft=2 recovering=1",
+      "05070000000000000000205e400200000001" );
+    ( "session-query sid=1 tleft=500 kleft=- recovering=0",
+      "05010000000000000000407f40ffffffff00" );
+    ("session-close sid=7", "0607000000");
+  ]
+
+let golden_responses =
+  [
+    ("pong", "01");
+    ("overloaded", "02");
+    ("timeout", "03");
+    ( "answer next=245 k=2 work=395.25",
+      "050000000000a06e40020000000000000000b47840" );
+    ("answer next=0 k=0 work=0", "050000000000000000000000000000000000000000");
+    ( "stats builds=3 hits=6 evictions=1 tables=2 bytes=393786",
+      "0603000000000000000600000000000000010000000000000002000000000000\
+       003a02060000000000" );
+    ( "error bad float \"nope\" for \"lambda\"",
+      "0462616420666c6f617420226e6f70652220666f7220226c616d62646122" );
+    ("error x ", "047820");
+    ("error x\n", "04780a");
+    ("session sid=42", "072a000000");
+  ]
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let test_golden_spellings () =
+  let check what to_text to_binary values golden =
+    Alcotest.(check int) (what ^ " table covers every value")
+      (List.length values) (List.length golden);
+    List.iter2
+      (fun v (text, binary) ->
+        Alcotest.(check string) (what ^ " text") text (to_text v);
+        Alcotest.(check string) (what ^ " binary") binary (hex (to_binary v)))
+      values golden
+  in
+  check "request" Protocol.request_to_string Protocol.request_to_binary
+    all_requests golden_requests;
+  check "response" Protocol.response_to_string Protocol.response_to_binary
+    all_responses golden_responses
 
 let test_malformed_requests () =
   let rejected payload =
@@ -123,7 +193,10 @@ let test_malformed_requests () =
      kleft=- recovering=0 c=21" (* duplicate field *);
   rejected
     "query lambda=-1 c=20 r=20 d=0 horizon=500 quantum=1 tleft=500 kleft=- \
-     recovering=0" (* Params.make must reject, as an Error not a raise *)
+     recovering=0" (* Params.make must reject, as an Error not a raise *);
+  rejected "ping a=b" (* a message without fields takes none *);
+  rejected "stats x";
+  rejected "session-close" (* missing sid *)
 
 (* protocol binary *)
 
@@ -199,43 +272,191 @@ let test_malformed_binary_requests () =
         ])
     [ Float.nan; Float.infinity; Float.neg_infinity ]
 
-(* The two spellings decode to the same value, so the server can journal
-   a binary query as canonical text and replay it bit-identically: for
-   any query, decode(binary) spelled as text equals the direct text
-   spelling. Floats are drawn to include awkward mantissas. *)
+(* Random messages of every variant. Ints span the whole [int] range
+   (most values fit the binary spelling, some do not), [kleft] includes
+   negatives, floats include NaN and infinities, and an error message is
+   any string at all. *)
+let gen_int =
+  QCheck.Gen.(frequency [ (3, int_range 0 50); (1, small_signed_int); (1, int) ])
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [ (3, float_range 0.0 1000.0); (1, float); (1, oneofl [ 0.0; -0.0 ]) ])
+
+let gen_params =
+  QCheck.Gen.(
+    map
+      (fun (lambda, c, r, d) -> Fault.Params.make ~lambda ~c ~r ~d)
+      (quad (float_range 1e-6 0.1) (float_range 0.0 100.0)
+         (float_range 0.0 100.0) (float_range 0.0 10.0)))
+
+let gen_request =
+  QCheck.Gen.(
+    let platform =
+      map3
+        (fun plat_params plat_horizon plat_quantum ->
+          { Protocol.plat_params; plat_horizon; plat_quantum })
+        gen_params gen_float gen_float
+    in
+    let sq =
+      map4
+        (fun sid sq_tleft sq_kleft sq_recovering ->
+          { Protocol.sid; sq_tleft; sq_kleft; sq_recovering })
+        gen_int gen_float (opt gen_int) bool
+    in
+    oneof
+      [
+        oneofl [ Protocol.Ping; Protocol.Stats ];
+        map4
+          (fun p tleft kleft recovering ->
+            Protocol.Query
+              {
+                Protocol.params = p.Protocol.plat_params;
+                horizon = p.Protocol.plat_horizon;
+                quantum = p.Protocol.plat_quantum;
+                tleft;
+                kleft;
+                recovering;
+              })
+          platform gen_float (opt gen_int) bool;
+        map (fun p -> Protocol.Session_open p) platform;
+        map (fun sq -> Protocol.Session_query sq) sq;
+        map (fun sid -> Protocol.Session_close sid) gen_int;
+      ])
+
+let gen_response =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ Protocol.Pong; Protocol.Overloaded; Protocol.Timeout ];
+        map (fun msg -> Protocol.Failed msg) string;
+        map3
+          (fun next k work -> Protocol.Answer { Protocol.next; k; work })
+          gen_float gen_int gen_float;
+        map
+          (fun (b, h, e, (t, n)) ->
+            Protocol.Stats_reply
+              {
+                Strategy.Cache.s_builds = b;
+                s_hits = h;
+                s_evictions = e;
+                s_resident_tables = t;
+                s_resident_bytes = n;
+              })
+          (quad gen_int gen_int gen_int (pair gen_int gen_int));
+        map (fun sid -> Protocol.Session sid) gen_int;
+      ])
+
+(* Both spellings decode to the same value, or both refuse (an encoder
+   that cannot spell a value refuses it with [Invalid_argument]); so the
+   server can journal any decoded query as canonical text and replay it
+   bit-identically. [compare], not [=]: NaN survives in replies. *)
+let spellings_agree ~to_text ~of_text ~to_binary ~of_binary v =
+  let via encode decode =
+    match encode v with
+    | s -> decode s
+    | exception Invalid_argument msg -> Error msg
+  in
+  match (via to_binary of_binary, via to_text of_text) with
+  | Ok b, Ok t -> compare b t = 0 && compare b v = 0
+  | Error _, Error _ -> true
+  | _ -> false
+
 let binary_text_spellings_agree =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"binary and text spellings agree" ~count:500
+    (QCheck.Test.make ~name:"binary and text spellings agree" ~count:3000
        (QCheck.make
           QCheck.Gen.(
-            let pos lo hi = float_range lo hi in
-            tup7 (pos 1e-6 0.1) (pos 0.1 100.0) (pos 0.1 100.0)
-              (pos 0.0 10.0) (pos 1.0 1000.0)
-              (pair (pos 0.0 1000.0) (opt (int_range 0 20)))
-              bool))
-       (fun (lambda, c, r, d, horizon, (tleft, kleft), recovering) ->
-         let q =
-           {
-             Protocol.params = Fault.Params.make ~lambda ~c ~r ~d;
-             horizon;
-             quantum = horizon /. 97.0;
-             tleft;
-             kleft;
-             recovering;
-           }
-         in
-         let req = Protocol.Query q in
-         let via_binary =
-           Protocol.request_of_binary (Protocol.request_to_binary req)
-         in
-         let via_text =
-           Protocol.request_of_string (Protocol.request_to_string req)
-         in
-         match (via_binary, via_text) with
-         | Ok b, Ok t ->
-             b = req && t = req
-             && Protocol.request_to_string b = Protocol.request_to_string t
-         | _ -> false))
+            oneof
+              [
+                map (fun r -> `Request r) gen_request;
+                map (fun r -> `Response r) gen_response;
+              ]))
+       (function
+         | `Request req ->
+             spellings_agree ~to_text:Protocol.request_to_string
+               ~of_text:Protocol.request_of_string
+               ~to_binary:Protocol.request_to_binary
+               ~of_binary:Protocol.request_of_binary req
+         | `Response resp ->
+             spellings_agree ~to_text:Protocol.response_to_string
+               ~of_text:Protocol.response_of_string
+               ~to_binary:Protocol.response_to_binary
+               ~of_binary:Protocol.response_of_binary resp))
+
+(* Decoding is total: random bytes, truncations, splices and token-level
+   mutations of valid spellings never raise out of any of the four
+   decoders — a malformed frame must become an error reply, never a
+   dead worker. *)
+let decoders_are_total =
+  (* a valid spelling, binary when the value fits it *)
+  let spelled to_binary to_text gen =
+    QCheck.Gen.map
+      (fun (v, binary) ->
+        try if binary then to_binary v else to_text v
+        with Invalid_argument _ -> to_text v)
+      (QCheck.Gen.pair gen QCheck.Gen.bool)
+  in
+  let spell =
+    QCheck.Gen.oneof
+      [
+        spelled Protocol.request_to_binary Protocol.request_to_string
+          gen_request;
+        spelled Protocol.response_to_binary Protocol.response_to_string
+          gen_response;
+      ]
+  in
+  let cut s i = i mod (String.length s + 1) in
+  let payload =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, string_size ~gen:char (int_bound 80));
+          ( 1,
+            map2 (fun s i -> String.sub s 0 (cut s i)) spell small_nat );
+          ( 1,
+            map4
+              (fun a b i j ->
+                let j = cut b j in
+                String.sub a 0 (cut a i) ^ String.sub b j (String.length b - j))
+              spell spell small_nat small_nat );
+          ( 2,
+            map3
+              (fun s i tok ->
+                match String.split_on_char ' ' s with
+                | [] -> s
+                | toks ->
+                    let i = i mod List.length toks in
+                    String.concat " "
+                      (List.mapi (fun j t -> if j = i then tok else t) toks))
+              spell small_nat
+              (oneofl
+                 [
+                   ""; "-"; "="; "x="; "sid=0"; "kleft=-2"; "k=4294967297";
+                   "recovering=2"; "builds=9223372036854775807"; "error";
+                   "\x03"; "\x04"; "\x05\xff"; "  ";
+                 ]) );
+          ( 1,
+            map3
+              (fun s i c ->
+                if s = "" then s
+                else
+                  let b = Bytes.of_string s in
+                  Bytes.set b (i mod Bytes.length b) c;
+                  Bytes.to_string b)
+              spell small_nat char );
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"decoders are total" ~count:5000
+       (QCheck.make ~print:String.escaped payload)
+       (fun s ->
+         ignore (Protocol.request_of_string s);
+         ignore (Protocol.request_of_binary s);
+         ignore (Protocol.response_of_string s);
+         ignore (Protocol.response_of_binary s);
+         true))
 
 (* wire framing over a socketpair *)
 
@@ -1068,6 +1289,108 @@ let test_handler_batch_shares_table () =
       | Error _ -> ())
     (List.combine reqs replies)
 
+(* in-process daemon *)
+
+module Server = Serve.Server
+module Client = Serve.Client
+
+(* The journal holds the canonical spelling of each query the daemon
+   answered, whichever spelling carried it — text (even with an extra
+   field), binary, or a session query resolved against its platform —
+   and nothing of a payload it refused. *)
+let test_server_journals_canonical_queries () =
+  with_seglog_temp (fun journal ->
+      let socket = Filename.temp_file "fixedlen_serve" ".sock" in
+      Sys.remove socket;
+      let h =
+        Server.start
+          {
+            Server.socket_path = socket;
+            listen = None;
+            workers = 1;
+            queue_capacity = 4;
+            batch = 2;
+            max_conns = None;
+            idle_timeout = None;
+            max_sessions = 4;
+            budget = None;
+            slow = 0.0;
+            journal = Some journal;
+            journal_rotate = None;
+            journal_compact = false;
+            chaos = None;
+            chaos_fs = None;
+            max_tables = None;
+            max_bytes = None;
+            quiet = true;
+          }
+      in
+      let text = Client.connect ~socket and binary = Client.connect ~socket in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close text;
+          Client.close binary;
+          Server.stop h)
+        (fun () ->
+          let ask payload =
+            Wire.send text payload;
+            match Wire.recv text with
+            | Ok reply -> Protocol.response_of_string reply
+            | Error e -> Alcotest.failf "%S: %s" payload (Wire.error_message e)
+          in
+          List.iter
+            (fun payload ->
+              match ask payload with
+              | Ok (Protocol.Failed _) -> ()
+              | _ -> Alcotest.failf "%S was not refused" payload)
+            [ "query lambda=nope"; "queryX" ];
+          (match
+             ask
+               "query c=20 lambda=1e-3 r=20 d=0 horizon=500 quantum=1 \
+                tleft=500 kleft=- recovering=0 junk=1"
+           with
+          | Ok (Protocol.Answer _) -> ()
+          | _ -> Alcotest.fail "non-canonical text query not answered");
+          (match Client.handshake binary ~binary:true with
+          | Ok true -> ()
+          | _ -> Alcotest.fail "binary hello refused");
+          let request req =
+            match Client.request binary req with
+            | Ok resp -> resp
+            | Error e -> Alcotest.failf "binary request: %s" e
+          in
+          (match request (Protocol.Query (query ())) with
+          | Protocol.Answer _ -> ()
+          | r -> Alcotest.failf "binary query: %s" (Protocol.render_response r));
+          match request (Protocol.Session_open (platform ())) with
+          | Protocol.Session sid -> (
+              match
+                request
+                  (Protocol.Session_query
+                     {
+                       Protocol.sid;
+                       sq_tleft = 120.5;
+                       sq_kleft = Some 2;
+                       sq_recovering = true;
+                     })
+              with
+              | Protocol.Answer _ -> ()
+              | r ->
+                  Alcotest.failf "session query: %s" (Protocol.render_response r)
+              )
+          | r -> Alcotest.failf "session open: %s" (Protocol.render_response r));
+      let log, r =
+        Seglog.open_ ~point:"server-test" ~path:journal
+          ~header:Server.journal_header ()
+      in
+      Seglog.close log;
+      Alcotest.(check (list string))
+        "the answered queries, canonically spelled"
+        (List.map
+           (fun q -> Protocol.request_to_string (Protocol.Query q))
+           [ query (); query (); query ~tleft:120.5 ~kleft:2 ~recovering:true () ])
+        r.Seglog.payloads)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1077,6 +1400,7 @@ let () =
             test_request_round_trip;
           Alcotest.test_case "response round-trip" `Quick
             test_response_round_trip;
+          Alcotest.test_case "golden spellings" `Quick test_golden_spellings;
           Alcotest.test_case "malformed rejected" `Quick
             test_malformed_requests;
           Alcotest.test_case "binary request round-trip" `Quick
@@ -1086,6 +1410,7 @@ let () =
           Alcotest.test_case "malformed binary rejected" `Quick
             test_malformed_binary_requests;
           binary_text_spellings_agree;
+          decoders_are_total;
         ] );
       ( "wire",
         [
@@ -1162,5 +1487,10 @@ let () =
             test_handler_session_requests_need_daemon;
           Alcotest.test_case "batch shares the table" `Quick
             test_handler_batch_shares_table;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "journal keeps canonical decoded queries" `Quick
+            test_server_journals_canonical_queries;
         ] );
     ]
