@@ -25,6 +25,62 @@ module Cache = struct
     | Renewal { quantum; dist } ->
         Format.fprintf ppf "renewal(u=%g, %a)" quantum pp_dist dist
 
+  type key = { params : Fault.Params.t; horizon : float; kind : kind }
+
+  let key ~params ~horizon kind = { params; horizon; kind }
+
+  (* The cache's one notion of identity: every float compares by its
+     bit pattern, so bit-distinct values never share a table (-0.0 and
+     0.0 stay apart, a NaN matches only its own payload). *)
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+  let same_dist a b =
+    match (a, b) with
+    | Fault.Trace.Exponential { rate }, Fault.Trace.Exponential { rate = rate' }
+      ->
+        same rate rate'
+    | Weibull { shape; scale }, Weibull { shape = shape'; scale = scale' } ->
+        same shape shape' && same scale scale'
+    | Lognormal { mu; sigma }, Lognormal { mu = mu'; sigma = sigma' } ->
+        same mu mu' && same sigma sigma'
+    | (Exponential _ | Weibull _ | Lognormal _), _ -> false
+
+  let same_kind a b =
+    match (a, b) with
+    | Threshold_numerical, Threshold_numerical
+    | Threshold_first_order, Threshold_first_order ->
+        true
+    | Dp { quantum }, Dp { quantum = quantum' }
+    | Optimal { quantum }, Optimal { quantum = quantum' } ->
+        same quantum quantum'
+    | Renewal { quantum; dist }, Renewal { quantum = quantum'; dist = dist' } ->
+        same quantum quantum' && same_dist dist dist'
+    | ( ( Threshold_numerical | Threshold_first_order | Dp _ | Optimal _
+        | Renewal _ ),
+        _ ) ->
+        false
+
+  (* Same platform and kind at any horizon: what the horizon range
+     query below searches for. *)
+  let same_family a b =
+    let p = a.params and p' = b.params in
+    same p.Fault.Params.lambda p'.Fault.Params.lambda
+    && same p.c p'.c && same p.r p'.r && same p.d p'.d
+    && same_kind a.kind b.kind
+
+  let equal_key a b = same a.horizon b.horizon && same_family a b
+
+  module Store = Hashtbl.Make (struct
+    type t = key
+
+    let equal = equal_key
+
+    (* Bit-equal keys are structurally equal, so the structural hash
+       agrees with [equal_key]; it sends -0.0 and 0.0 (and every NaN)
+       to one bucket, where [equal_key] tells them apart. *)
+    let hash = Hashtbl.hash
+  end)
+
   type table =
     | T_threshold of Core.Threshold.table
     | T_dp of Core.Dp.t
@@ -41,20 +97,12 @@ module Cache = struct
     | T_optimal opt -> Core.Optimal.bytes opt
     | T_renewal dp -> Core.Dp_renewal.bytes dp
 
-  (* Each slot keeps its structured identity next to the table: the
-     horizon range query below cannot recover (params, horizon, kind)
-     from the rendered string key. *)
-  type slot = {
-    table : table;
-    size : int;
-    s_params : Fault.Params.t;
-    s_horizon : float;
-    s_kind : kind;
-    mutable stamp : int;
-  }
+  (* Each slot keeps its key for the scans that start from the slot:
+     the horizon range query and eviction. *)
+  type slot = { key : key; table : table; size : int; mutable stamp : int }
 
   type t = {
-    store : (string, slot) Hashtbl.t;
+    store : slot Store.t;
     lock : Mutex.t;
     max_tables : int option;
     max_bytes : int option;
@@ -74,7 +122,7 @@ module Cache = struct
     check "max_tables" max_tables;
     check "max_bytes" max_bytes;
     {
-      store = Hashtbl.create 16;
+      store = Store.create 16;
       lock = Mutex.create ();
       max_tables;
       max_bytes;
@@ -85,14 +133,11 @@ module Cache = struct
       resident = 0;
     }
 
-  let locked t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
+  let locked t f = Mutex.protect t.lock f
   let builds t = locked t (fun () -> t.builds)
   let hits t = locked t (fun () -> t.hits)
   let evictions t = locked t (fun () -> t.evictions)
-  let resident_tables t = locked t (fun () -> Hashtbl.length t.store)
+  let resident_tables t = locked t (fun () -> Store.length t.store)
   let resident_bytes t = locked t (fun () -> t.resident)
 
   type stats = {
@@ -109,75 +154,55 @@ module Cache = struct
           s_builds = t.builds;
           s_hits = t.hits;
           s_evictions = t.evictions;
-          s_resident_tables = Hashtbl.length t.store;
+          s_resident_tables = Store.length t.store;
           s_resident_bytes = t.resident;
         })
-
-  let record_hits t n = locked t (fun () -> t.hits <- t.hits + n)
 
   let touch t slot =
     t.tick <- t.tick + 1;
     slot.stamp <- t.tick
 
-  (* Canonical key: every float rendered with %.17g so distinct values
-     can never collide through formatting (same convention as
-     Spec.fingerprint). *)
-  let dist_key = function
-    | Fault.Trace.Exponential { rate } -> Printf.sprintf "exp:%.17g" rate
-    | Fault.Trace.Weibull { shape; scale } ->
-        Printf.sprintf "weibull:%.17g:%.17g" shape scale
-    | Fault.Trace.Lognormal { mu; sigma } ->
-        Printf.sprintf "lognormal:%.17g:%.17g" mu sigma
-
-  let kind_key = function
-    | Threshold_numerical -> "thr-num"
-    | Threshold_first_order -> "thr-fo"
-    | Dp { quantum } -> Printf.sprintf "dp:%.17g" quantum
-    | Optimal { quantum } -> Printf.sprintf "opt:%.17g" quantum
-    | Renewal { quantum; dist } ->
-        Printf.sprintf "renewal:%.17g|%s" quantum (dist_key dist)
-
-  let key ~(params : Fault.Params.t) ~horizon kind =
-    Printf.sprintf "lambda=%.17g,c=%.17g,r=%.17g,d=%.17g|h=%.17g|%s"
-      params.Fault.Params.lambda params.Fault.Params.c params.Fault.Params.r
-      params.Fault.Params.d horizon (kind_key kind)
-
-  let new_slot t ~params ~horizon kind table =
-    let slot =
-      {
-        table;
-        size = table_bytes table;
-        s_params = params;
-        s_horizon = horizon;
-        s_kind = kind;
-        stamp = 0;
-      }
-    in
-    touch t slot;
-    slot
-
   let over_bound t =
     (match t.max_tables with
-    | Some m -> Hashtbl.length t.store > m
+    | Some m -> Store.length t.store > m
     | None -> false)
     ||
     match t.max_bytes with Some m -> t.resident > m | None -> false
 
   let evict_oldest t =
     let victim =
-      Hashtbl.fold
-        (fun k slot acc ->
+      Store.fold
+        (fun _ slot acc ->
           match acc with
-          | Some (_, best) when best.stamp <= slot.stamp -> acc
-          | _ -> Some (k, slot))
+          | Some best when best.stamp <= slot.stamp -> acc
+          | _ -> Some slot)
         t.store None
     in
     match victim with
     | None -> ()
-    | Some (k, slot) ->
-        Hashtbl.remove t.store k;
+    | Some slot ->
+        Store.remove t.store slot.key;
         t.resident <- t.resident - slot.size;
         t.evictions <- t.evictions + 1
+
+  (* Store [table] under [key] (lock held), then shed least-recently-used
+     entries until back under the bound, but never the entry just
+     stored: it holds the newest stamp, and the [> 1] guard keeps it
+     when it alone exceeds the byte bound — a lone oversized table must
+     stay answerable. A replace (two racing builders of one key) must
+     not double-charge the bytes. *)
+  let add t key table =
+    (match Store.find_opt t.store key with
+    | Some old -> t.resident <- t.resident - old.size
+    | None -> ());
+    let slot = { key; table; size = table_bytes table; stamp = 0 } in
+    touch t slot;
+    Store.replace t.store key slot;
+    t.resident <- t.resident + slot.size;
+    while over_bound t && Store.length t.store > 1 do
+      evict_oldest t
+    done;
+    slot
 
   (* Horizon range query, DP tables only (lock held): a DP cell never
      depends on the horizon, so a resident build for the same platform
@@ -192,62 +217,56 @@ module Cache = struct
      Eviction may drop the parent before the view — the view keeps the
      shared buffers alive through the GC, it only loses them their
      byte charge. *)
-  let materialize_view t ~params ~horizon kind =
-    match kind with
-    | Dp _ ->
+  let materialize_view t key =
+    match key.kind with
+    | Dp _ -> (
         let parent =
-          Hashtbl.fold
+          Store.fold
             (fun _ slot acc ->
-              if
-                slot.s_kind = kind && slot.s_params = params
-                && slot.s_horizon > horizon
+              if slot.key.horizon > key.horizon && same_family slot.key key
               then
                 match acc with
-                | Some best when best.s_horizon <= slot.s_horizon -> acc
+                | Some best when best.key.horizon <= slot.key.horizon -> acc
                 | _ -> Some slot
               else acc)
             t.store None
         in
-        (match parent with
+        match parent with
         | Some ({ table = T_dp dp; _ } as pslot) ->
             touch t pslot;
-            let view =
-              Core.Dp.prefix_view
-                ~kmax:(Core.Dp.suggested_kmax ~params ~horizon)
-                dp ~horizon
-            in
-            let slot = new_slot t ~params ~horizon kind (T_dp view) in
-            Hashtbl.replace t.store (key ~params ~horizon kind) slot;
-            t.resident <- t.resident + slot.size;
-            while over_bound t && Hashtbl.length t.store > 1 do
-              evict_oldest t
-            done;
-            Some slot
+            let { params; horizon; _ } = key in
+            let kmax = Core.Dp.suggested_kmax ~params ~horizon in
+            Some (add t key (T_dp (Core.Dp.prefix_view ~kmax dp ~horizon)))
         | _ -> None)
     | _ -> None
 
   (* Lookups touch the LRU stamp: a table an [ensure] or a [compile]
      just used is the one a bounded cache should keep. An exact miss
-     falls through to the horizon range query, so [mem] and [find]
-     agree on what is answerable without a build. *)
-  let lookup t ~params ~horizon kind =
-    match Hashtbl.find_opt t.store (key ~params ~horizon kind) with
+     falls through to the horizon range query, so [mem], [hit] and
+     [find] agree on what is answerable without a build. *)
+  let lookup t key =
+    match Store.find_opt t.store key with
     | Some slot ->
         touch t slot;
         Some slot
-    | None -> materialize_view t ~params ~horizon kind
+    | None -> materialize_view t key
 
-  let mem t ~params ~horizon kind =
-    locked t (fun () -> lookup t ~params ~horizon kind <> None)
+  let mem t key = locked t (fun () -> lookup t key <> None)
 
-  let find t ~params ~horizon kind =
+  (* [mem] that counts the hit under the same lock: {!ensure}'s path. *)
+  let hit t key =
     locked t (fun () ->
-        Option.map (fun slot -> slot.table) (lookup t ~params ~horizon kind))
+        let found = lookup t key <> None in
+        if found then t.hits <- t.hits + 1;
+        found)
+
+  let find t key =
+    locked t (fun () -> Option.map (fun slot -> slot.table) (lookup t key))
 
   (* The build calls replicate what the pre-registry runner did per
      C block, so the tables — and therefore the figures — are
      bit-identical. In particular the DP keeps its suggested_kmax cap. *)
-  let build ~params ~horizon kind =
+  let build { params; horizon; kind } =
     match kind with
     | Threshold_numerical ->
         T_threshold (Core.Threshold.table_numerical ~params ~up_to:horizon)
@@ -263,25 +282,10 @@ module Cache = struct
     | Renewal { quantum; dist } ->
         T_renewal (Core.Dp_renewal.build ~params ~dist ~quantum ~horizon ())
 
-  let insert t ~params ~horizon kind table =
+  let insert t key table =
     locked t (fun () ->
-        let k = key ~params ~horizon kind in
-        (* A replace (two racing builders of the same key) must not
-           double-charge the bytes. *)
-        (match Hashtbl.find_opt t.store k with
-        | Some old -> t.resident <- t.resident - old.size
-        | None -> ());
-        let slot = new_slot t ~params ~horizon kind table in
-        Hashtbl.replace t.store k slot;
         t.builds <- t.builds + 1;
-        t.resident <- t.resident + slot.size;
-        (* Shed least-recently-used entries until back under the bound,
-           but never the entry just inserted (it holds the newest stamp
-           and the [> 1] guard keeps it when it alone exceeds the byte
-           bound — a lone oversized table must stay answerable). *)
-        while over_bound t && Hashtbl.length t.store > 1 do
-          evict_oldest t
-        done)
+        ignore (add t key table : slot))
 end
 
 type error =
@@ -305,22 +309,22 @@ let error_message = function
 let missing kind ~params ~horizon = Error (Missing_table { kind; params; horizon })
 
 let find_threshold cache ~params ~horizon kind =
-  match Cache.find cache ~params ~horizon kind with
+  match Cache.find cache (Cache.key ~params ~horizon kind) with
   | Some (Cache.T_threshold t) -> Ok t
   | _ -> missing kind ~params ~horizon
 
 let find_dp cache ~params ~horizon kind =
-  match Cache.find cache ~params ~horizon kind with
+  match Cache.find cache (Cache.key ~params ~horizon kind) with
   | Some (Cache.T_dp t) -> Ok t
   | _ -> missing kind ~params ~horizon
 
 let find_optimal cache ~params ~horizon kind =
-  match Cache.find cache ~params ~horizon kind with
+  match Cache.find cache (Cache.key ~params ~horizon kind) with
   | Some (Cache.T_optimal t) -> Ok t
   | _ -> missing kind ~params ~horizon
 
 let find_renewal cache ~params ~horizon kind =
-  match Cache.find cache ~params ~horizon kind with
+  match Cache.find cache (Cache.key ~params ~horizon kind) with
   | Some (Cache.T_renewal t) -> Ok t
   | _ -> missing kind ~params ~horizon
 
@@ -678,19 +682,42 @@ let base_entry_of strategy =
         (Printf.sprintf "Strategy: no base registry entry owns %s"
            (Spec.strategy_name strategy))
 
+(* The distinct keys among [keys] by the cache's own identity, in
+   first-seen order (deterministic for a fixed spec list), so a table
+   two strategies or two figures share is built once. *)
+let distinct keys =
+  List.rev
+    (List.fold_left
+       (fun acc k ->
+         if List.exists (Cache.equal_key k) acc then acc else k :: acc)
+       [] keys)
+
+(* Build the tables (concurrently on [pool]) and insert them. Inserts
+   stay in the caller: workers only ever read the cache. *)
+let build_all ?pool cache keys =
+  let keys = Array.of_list keys in
+  let tables =
+    match pool with
+    | Some pool -> Parallel.Pool.map pool keys ~f:Cache.build
+    | None -> Array.map Cache.build keys
+  in
+  Array.iter2 (Cache.insert cache) keys tables
+
+(* Count a hit for each resident table and build the others. *)
+let ensure_keys ?pool cache keys =
+  match List.filter (fun key -> not (Cache.hit cache key)) (distinct keys) with
+  | [] -> ()
+  | missing -> build_all ?pool cache missing
+
 (* Synchronous ensure for one strategy, used from inside a policy's
    adapt hook: an online re-plan cannot wait for a batch ensure, and it
    must count a hit when the degraded-λ tables are already resident (a
    shrinking platform revisiting a λ level — the malleability drills
    assert on exactly this counter). *)
 let ensure_one cache ~params ~horizon ~dist strategy =
-  List.iter
-    (fun kind ->
-      if Cache.mem cache ~params ~horizon kind then Cache.record_hits cache 1
-      else
-        Cache.insert cache ~params ~horizon kind
-          (Cache.build ~params ~horizon kind))
-    ((base_entry_of strategy).requires ~dist strategy)
+  ensure_keys cache
+    (List.map (Cache.key ~params ~horizon)
+       ((base_entry_of strategy).requires ~dist strategy))
 
 (* Wrap a compiled base policy so every platform change recompiles it
    against the degraded parameters — through the shared cache, so a
@@ -830,30 +857,13 @@ let of_string_list text =
 
 let requires ~dist strategy = (entry_of strategy).requires ~dist strategy
 
+let keys_of ~params ~horizon ~dist strategies =
+  List.concat_map
+    (fun s -> List.map (Cache.key ~params ~horizon) (requires ~dist s))
+    strategies
+
 let ensure ?pool cache ~params ~horizon ~dist strategies =
-  let wanted =
-    List.sort_uniq compare
-      (List.concat_map (fun s -> requires ~dist s) strategies)
-  in
-  let missing, present =
-    List.partition (fun k -> not (Cache.mem cache ~params ~horizon k)) wanted
-  in
-  Cache.record_hits cache (List.length present);
-  match missing with
-  | [] -> ()
-  | _ ->
-      let kinds = Array.of_list missing in
-      let tables =
-        match pool with
-        | Some pool ->
-            Parallel.Pool.map pool kinds ~f:(fun kind ->
-                Cache.build ~params ~horizon kind)
-        | None -> Array.map (fun kind -> Cache.build ~params ~horizon kind) kinds
-      in
-      (* Inserts stay in the caller: workers only ever read the cache. *)
-      Array.iteri
-        (fun i table -> Cache.insert cache ~params ~horizon kinds.(i) table)
-        tables
+  ensure_keys ?pool cache (keys_of ~params ~horizon ~dist strategies)
 
 type warm_point = {
   wp_params : Fault.Params.t;
@@ -863,41 +873,22 @@ type warm_point = {
 }
 
 let warm_up ?pool cache points =
-  (* Collect the distinct table keys the whole campaign will need, in
-     first-seen order (deterministic for a fixed spec list), keeping
-     only the ones the cache does not already hold. Keys dedup through
-     the same canonical rendering the cache itself uses, so a table
-     shared by two figures is collected once. *)
-  let seen = Hashtbl.create 32 in
-  let todo = ref [] in
-  List.iter
-    (fun wp ->
-      List.iter
-        (fun kind ->
-          let k = Cache.key ~params:wp.wp_params ~horizon:wp.wp_horizon kind in
-          if not (Hashtbl.mem seen k) then begin
-            Hashtbl.add seen k ();
-            if not (Cache.mem cache ~params:wp.wp_params ~horizon:wp.wp_horizon kind)
-            then todo := (wp.wp_params, wp.wp_horizon, kind) :: !todo
-          end)
-        (List.concat_map (fun s -> requires ~dist:wp.wp_dist s) wp.wp_strategies))
-    points;
-  let todo = Array.of_list (List.rev !todo) in
-  let build (params, horizon, kind) = Cache.build ~params ~horizon kind in
-  let tables =
-    match pool with
-    | Some pool -> Parallel.Pool.map pool todo ~f:build
-    | None -> Array.map build todo
+  (* The distinct tables the whole campaign will need, minus the ones
+     the cache already holds. *)
+  let todo =
+    List.concat_map
+      (fun wp ->
+        keys_of ~params:wp.wp_params ~horizon:wp.wp_horizon ~dist:wp.wp_dist
+          wp.wp_strategies)
+      points
+    |> distinct
+    |> List.filter (fun key -> not (Cache.mem cache key))
   in
-  (* Inserts stay in the caller, same as {!ensure}: workers only read.
-     The hits counter is untouched — warm-up is not a lookup, and later
-     {!ensure} calls will count their (now guaranteed) hits. *)
-  Array.iteri
-    (fun i table ->
-      let params, horizon, kind = todo.(i) in
-      Cache.insert cache ~params ~horizon kind table)
-    tables;
-  Array.length todo
+  (* Unlike {!ensure}, the hits counter is untouched — warm-up is not a
+     lookup, and later {!ensure} calls will count their (now
+     guaranteed) hits. *)
+  build_all ?pool cache todo;
+  List.length todo
 
 let warm_points_of_spec spec =
   let dist = Spec.trace_dist spec in

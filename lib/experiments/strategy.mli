@@ -10,8 +10,8 @@
 
     Compilation is backed by a campaign-wide {!Cache} of the expensive
     numerical tables ({!Core.Threshold}, {!Core.Dp}, {!Core.Optimal},
-    {!Core.Dp_renewal}), keyed by [(params, horizon, quantum, kind)] so
-    each table is built at most once per campaign no matter how many
+    {!Core.Dp_renewal}), keyed bit-exactly by [(params, horizon, kind)]
+    so each table is built at most once per campaign no matter how many
     sub-plots, figures or strategies request it. *)
 
 module Cache : sig
@@ -22,6 +22,11 @@ module Cache : sig
       expensive table builds themselves run outside the lock (two racing
       builders of one key waste a build but converge on identical
       tables — builds are deterministic).
+
+      Keys compare by bit pattern ({!equal_key}): two lookups share a
+      table only when every float of their params, horizon and kind is
+      the same IEEE value, so [-0.0] and [0.0] are distinct keys. An
+      exact hit holds the lock for one hash and one key compare.
 
       By default the cache is unbounded, matching campaign use where
       every table is needed until the end. {!create} optionally bounds
@@ -52,6 +57,20 @@ module Cache : sig
             failure laws must not share it. *)
 
   val pp_kind : Format.formatter -> kind -> unit
+
+  type key
+  (** One table's identity: platform, horizon and kind. *)
+
+  val key : params:Fault.Params.t -> horizon:float -> kind -> key
+
+  val equal_key : key -> key -> bool
+  (** The cache's only notion of identity: every float — λ, C, R, D,
+      the horizon and the kind's quantum and distribution parameters —
+      compares with [Int64.bits_of_float]. [-0.0] differs from [0.0],
+      and a NaN equals only a NaN with the same payload. Exact lookups,
+      the horizon range query (same params and kind, longer horizon),
+      {!warm_up}'s dedupe and [Serve.Handler.handle_batch]'s per-batch
+      memo all use it. *)
 
   val create : ?max_tables:int -> ?max_bytes:int -> unit -> t
   (** Unbounded unless a bound is given. [max_tables] caps the resident

@@ -120,15 +120,20 @@ let handle_payload t payload =
 (* Answer a batch sharing one cache round trip per distinct table: the
    first query against a (params, horizon, quantum) triple pays the
    ensure-and-lookup, its batchmates reuse the result without touching
-   the cache lock. Per-query policy (budget, chaos, slow) still runs
-   per member, in order, so a batched timeout drill behaves exactly
-   like a sequential one. *)
+   the cache lock. Triples match by the cache's own key equality, so a
+   batch builds exactly the tables sequential handling would. Per-query
+   policy (budget, chaos, slow) still runs per member, in order, so a
+   batched timeout drill behaves exactly like a sequential one. *)
 let handle_batch t requests =
+  let module Cache = Experiments.Strategy.Cache in
   let memo = ref [] in
   let fetch q =
-    let key = (q.Protocol.params, q.Protocol.horizon, q.Protocol.quantum) in
-    match List.assoc_opt key !memo with
-    | Some r -> r
+    let key =
+      Cache.key ~params:q.Protocol.params ~horizon:q.Protocol.horizon
+        (Cache.Dp { quantum = q.Protocol.quantum })
+    in
+    match List.find_opt (fun (k, _) -> Cache.equal_key k key) !memo with
+    | Some (_, r) -> r
     | None ->
         let r = fetch_table t q in
         memo := (key, r) :: !memo;

@@ -1289,6 +1289,55 @@ let test_handler_batch_shares_table () =
       | Error _ -> ())
     (List.combine reqs replies)
 
+(* C = 0.0 and C = -0.0 are distinct tables to the cache, so one batch
+   holding both spellings builds two, as two sequential [handle] calls
+   do, and answers each exactly as they do. *)
+let test_handler_batch_keeps_signed_zeros_apart () =
+  let at c =
+    Protocol.Query
+      {
+        (query ~tleft:100.0 ()) with
+        Protocol.params = Fault.Params.make ~lambda:0.001 ~c ~r:20.0 ~d:0.0;
+        horizon = 100.0;
+      }
+  in
+  let reqs = [ at 0.0; at (-0.0) ] in
+  let sequential = Strategy.Cache.create ()
+  and batched = Strategy.Cache.create () in
+  let one_by_one =
+    List.map (Handler.handle (Handler.create ~cache:sequential ())) reqs
+  in
+  let together =
+    Handler.handle_batch
+      (Handler.create ~cache:batched ())
+      (List.map Result.ok reqs)
+  in
+  Alcotest.(check int) "sequential handling builds two tables" 2
+    (Strategy.Cache.builds sequential);
+  Alcotest.(check int) "one batch builds the same two" 2
+    (Strategy.Cache.builds batched);
+  List.iter2
+    (fun a b ->
+      if Protocol.response_to_string a <> Protocol.response_to_string b then
+        Alcotest.failf "batched %s vs sequential %s"
+          (Protocol.render_response b) (Protocol.render_response a))
+    one_by_one together
+
+(* Allocation pin: a warm query renders no cache key. Rendering one with
+   %.17g costs ~280 minor words and trips the bound. *)
+let test_handler_warm_hit_allocation () =
+  let h = Handler.create ~cache:(Strategy.Cache.create ()) () in
+  let req = Protocol.Query (query ()) and n = 1000 in
+  ignore (Handler.handle h req : Protocol.response);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Handler.handle h req : Protocol.response)
+  done;
+  let per_query = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_query > 350.0 then
+    Alcotest.failf "warm Handler.handle: %.0f minor words (bound 350)"
+      per_query
+
 (* in-process daemon *)
 
 module Server = Serve.Server
@@ -1487,6 +1536,10 @@ let () =
             test_handler_session_requests_need_daemon;
           Alcotest.test_case "batch shares the table" `Quick
             test_handler_batch_shares_table;
+          Alcotest.test_case "batch keeps signed zeros apart" `Quick
+            test_handler_batch_keeps_signed_zeros_apart;
+          Alcotest.test_case "warm hit stays off the minor heap" `Quick
+            test_handler_warm_hit_allocation;
         ] );
       ( "server",
         [

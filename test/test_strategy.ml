@@ -538,6 +538,98 @@ let test_horizon_sweep_builds_once () =
     (Strategy.Cache.resident_bytes cache);
   Alcotest.(check int) "still one build" 1 (Strategy.Cache.builds cache)
 
+(* Bit-exact identity. An ensured DP key hits when looked up with equal
+   values in fresh boxes, and misses when any one of λ, C, R, D, the
+   horizon or the quantum moves up by one ulp: no exact key matches and
+   no resident table covers a longer horizon. *)
+let test_key_identity =
+  let copy x = float_of_string (Printf.sprintf "%h" x) in
+  let gen =
+    QCheck.Gen.(
+      tup6 (float_range 1e-4 0.05) (float_range 0.0 20.0)
+        (float_range 0.0 20.0) (float_range 0.0 5.0) (float_range 20.0 60.0)
+        (oneofl [ 0.5; 1.0; 2.0 ]))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"keys hit on equal values, miss one ulp away"
+       ~count:200 (QCheck.make gen)
+       (fun (lambda, c, r, d, horizon, quantum) ->
+         let cache = Strategy.Cache.create () in
+         Strategy.ensure cache
+           ~params:(Fault.Params.make ~lambda ~c ~r ~d)
+           ~horizon ~dist:lru_dist
+           [ Spec.Dynamic_programming { quantum } ];
+         let hit ~lambda ~c ~r ~d ~horizon ~quantum =
+           Result.is_ok
+             (Strategy.dp_table cache
+                ~params:(Fault.Params.make ~lambda ~c ~r ~d)
+                ~horizon ~quantum)
+         in
+         let up = Float.succ in
+         hit ~lambda:(copy lambda) ~c:(copy c) ~r:(copy r) ~d:(copy d)
+           ~horizon:(copy horizon) ~quantum:(copy quantum)
+         && (not (hit ~lambda:(up lambda) ~c ~r ~d ~horizon ~quantum))
+         && (not (hit ~lambda ~c:(up c) ~r ~d ~horizon ~quantum))
+         && (not (hit ~lambda ~c ~r:(up r) ~d ~horizon ~quantum))
+         && (not (hit ~lambda ~c ~r ~d:(up d) ~horizon ~quantum))
+         && (not (hit ~lambda ~c ~r ~d ~horizon:(up horizon) ~quantum))
+         && (not (hit ~lambda ~c ~r ~d ~horizon ~quantum:(up quantum)))
+         && Strategy.Cache.builds cache = 1))
+
+(* C = 0.0 and C = -0.0 are bit-distinct keys: neither an exact lookup,
+   nor the horizon range query, nor warm-up's dedupe answers one from
+   the other's table. *)
+let test_signed_zero_keys_distinct () =
+  let zero = Fault.Params.make ~lambda:0.01 ~c:0.0 ~r:5.0 ~d:0.0
+  and neg_zero = Fault.Params.make ~lambda:0.01 ~c:(-0.0) ~r:5.0 ~d:0.0 in
+  let cache = Strategy.Cache.create () in
+  let resident params horizon =
+    Result.is_ok (Strategy.dp_table cache ~params ~horizon ~quantum:1.0)
+  in
+  Strategy.ensure cache ~params:zero ~horizon:100.0 ~dist:lru_dist lru_specs;
+  Alcotest.(check bool) "exact lookup: C = -0.0 misses" false
+    (resident neg_zero 100.0);
+  Alcotest.(check bool) "range query: C = -0.0 misses" false
+    (resident neg_zero 50.0);
+  Alcotest.(check bool) "range query: C = 0.0 answers" true
+    (resident zero 50.0);
+  Strategy.ensure cache ~params:neg_zero ~horizon:100.0 ~dist:lru_dist
+    lru_specs;
+  Alcotest.(check int) "C = -0.0 builds its own table" 2
+    (Strategy.Cache.builds cache);
+  let point params =
+    {
+      Strategy.wp_params = params;
+      wp_horizon = 100.0;
+      wp_dist = lru_dist;
+      wp_strategies = lru_specs;
+    }
+  in
+  let fresh = Strategy.Cache.create () in
+  Alcotest.(check int) "warm-up keeps both spellings, once each" 2
+    (Strategy.warm_up fresh
+       [ point zero; point neg_zero; point zero; point neg_zero ])
+
+(* Allocation pin: a warm exact hit renders nothing. Rendering one key
+   with %.17g costs ~280 minor words and trips the bound. *)
+let test_warm_hit_allocation () =
+  let cache = Strategy.Cache.create () in
+  lru_ensure cache 0.01;
+  let params = lru_params 0.01 and n = 1000 in
+  let lookup () =
+    match Strategy.dp_table cache ~params ~horizon:50.0 ~quantum:1.0 with
+    | Ok (_ : Core.Dp.t) -> ()
+    | Error e -> Alcotest.fail (Strategy.error_message e)
+  in
+  lookup ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    lookup ()
+  done;
+  let per_hit = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_hit > 100.0 then
+    Alcotest.failf "warm dp_table hit: %.0f minor words (bound 100)" per_hit
+
 let test_lru_validation () =
   List.iter
     (fun thunk ->
@@ -633,6 +725,11 @@ let () =
             test_warmed_sweep_identical;
           Alcotest.test_case "horizon sweep builds once" `Quick
             test_horizon_sweep_builds_once;
+          test_key_identity;
+          Alcotest.test_case "signed zeros are distinct keys" `Quick
+            test_signed_zero_keys_distinct;
+          Alcotest.test_case "warm hit stays off the minor heap" `Quick
+            test_warm_hit_allocation;
         ] );
       ( "lru",
         [
