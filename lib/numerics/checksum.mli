@@ -6,32 +6,20 @@
     cryptographic — the adversary here is a truncated write or a stale
     file, not a forger. *)
 
-type state
-(** Incremental hashing state (mutable). *)
-
-val init : unit -> state
-(** Fresh state, FNV-1a offset basis. *)
-
-val feed_string : state -> string -> unit
-(** Absorb every byte of the string. *)
-
-val feed_char : state -> char -> unit
-
-val value : state -> int64
-(** Current digest. The state stays usable; feeding more bytes continues
-    the same stream. *)
-
 val fnv1a64 : string -> int64
-(** One-shot digest of a string. *)
+(** Digest of every byte of a string. *)
+
+val fnv1a64_sub : string -> int -> int -> int64
+(** [fnv1a64_sub s off len] is [fnv1a64 (String.sub s off len)], read in
+    place — for checking a frame inside a receive buffer without copying
+    it out. Raises [Invalid_argument] when the range is not within [s]. *)
 
 val to_hex : int64 -> string
 (** Fixed-width (16 chars) lowercase hex rendering of a digest. *)
 
-val fold_float : int64 -> float -> int64
-(** [fold_float h x] mixes the IEEE-754 bit pattern of [x] into digest
-    [h] — exact, no formatting round-trip involved. *)
-
 val fold_int : int64 -> int -> int64
+(** [fold_int h x] mixes the 8 little-endian bytes of [x] into digest
+    [h]. *)
 
 val to_unit_float : int64 -> float
 (** Map a digest to [\[0, 1)] using its top 53 bits. Used for

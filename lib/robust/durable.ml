@@ -87,61 +87,90 @@ module Framed = struct
     length : int;
   }
 
-  let digest payload =
-    Numerics.Checksum.to_hex (Numerics.Checksum.fnv1a64 payload)
+  let rec decimal_digits n = if n < 10 then 1 else 1 + decimal_digits (n / 10)
+
+  let frame_length payload =
+    let len = String.length payload in
+    decimal_digits len + 1 + len + 18
+
+  (* <decimal-len> ' ' <payload> ' ' <16-hex-fnv64> '\n' *)
+  let blit_frame payload dst off =
+    let len = String.length payload in
+    let p = off + decimal_digits len + 1 in
+    let n = ref len in
+    for i = p - 2 downto off do
+      Bytes.set dst i (Char.chr (48 + (!n mod 10)));
+      n := !n / 10
+    done;
+    Bytes.set dst (p - 1) ' ';
+    Bytes.blit_string payload 0 dst p len;
+    Bytes.set dst (p + len) ' ';
+    Bytes.blit_string
+      (Numerics.Checksum.to_hex (Numerics.Checksum.fnv1a64 payload))
+      0 dst (p + len + 1) 16;
+    Bytes.set dst (p + len + 17) '\n';
+    p + len + 18
 
   let frame payload =
-    Printf.sprintf "%d %s %s\n" (String.length payload) payload
-      (digest payload)
+    let b = Bytes.create (frame_length payload) in
+    ignore (blit_frame payload b 0 : int);
+    Bytes.unsafe_to_string b
 
   let is_digit ch = ch >= '0' && ch <= '9'
+
+  (* Longest length prefix a scan reads; a frame stays far below it. *)
+  let max_digits = 10
+
+  (* The 16 bytes of [s] at [at] are [to_hex digest]. *)
+  let spells_digest s at digest =
+    let hex = Numerics.Checksum.to_hex digest and i = ref 0 in
+    while !i < 16 && s.[at + !i] = hex.[!i] do
+      incr i
+    done;
+    !i = 16
+
+  let check s ~pos ~limit =
+    let j = ref pos and len = ref 0 in
+    while !j < limit && !j - pos < max_digits && is_digit s.[!j] do
+      len := (10 * !len) + Char.code s.[!j] - 48;
+      incr j
+    done;
+    let p = !j + 1 and len = !len in
+    (* A leading zero is refused: [frame] never writes one. *)
+    if
+      !j = pos || !j >= limit
+      || s.[!j] <> ' '
+      || (s.[pos] = '0' && !j > pos + 1)
+    then Error "torn or malformed length prefix"
+    else if p + len + 18 > limit then
+      Error "record extends past end of file (torn write)"
+    else if s.[p + len] <> ' ' || s.[p + len + 17] <> '\n' then
+      Error "record framing bytes corrupt"
+    else if
+      not
+        (spells_digest s (p + len + 1) (Numerics.Checksum.fnv1a64_sub s p len))
+    then Error "record checksum mismatch"
+    else Ok (p, len)
 
   let scan_content content =
     let len = String.length content in
     match String.index_opt content '\n' with
     | None -> { header = None; records = []; tail_error = None; length = len }
     | Some header_end ->
-        let header = String.sub content 0 header_end in
-        let records = ref [] in
-        let tail_error = ref None in
-        let offset = ref (header_end + 1) in
-        let stop ~at cause = tail_error := Some (at, cause) in
-        while !tail_error = None && !offset < len do
-          let o = !offset in
-          (* <decimal-len> ' ' <payload> ' ' <16-hex-fnv64> '\n' *)
-          let j = ref o in
-          while !j < len && is_digit content.[!j] && !j - o <= 9 do
-            incr j
-          done;
-          if !j = o || !j >= len || content.[!j] <> ' ' then
-            stop ~at:o "torn or malformed length prefix"
-          else begin
-            let plen = int_of_string (String.sub content o (!j - o)) in
-            let payload_start = !j + 1 in
-            (* payload + ' ' + 16 hex + '\n' *)
-            if payload_start + plen + 18 > len then
-              stop ~at:o "record extends past end of file (torn write)"
-            else if content.[payload_start + plen] <> ' '
-                    || content.[payload_start + plen + 17] <> '\n' then
-              stop ~at:o "record framing bytes corrupt"
-            else begin
-              let payload = String.sub content payload_start plen in
-              let found =
-                String.sub content (payload_start + plen + 1) 16
-              in
-              if digest payload <> found then
-                stop ~at:o "record checksum mismatch"
-              else begin
-                records := (o, payload) :: !records;
-                offset := payload_start + plen + 18
-              end
-            end
-          end
-        done;
+        let rec records offset acc =
+          if offset >= len then (List.rev acc, None)
+          else
+            match check content ~pos:offset ~limit:len with
+            | Ok (p, plen) ->
+                let record = (offset, String.sub content p plen) in
+                records (p + plen + 18) (record :: acc)
+            | Error cause -> (List.rev acc, Some (offset, cause))
+        in
+        let records, tail_error = records (header_end + 1) [] in
         {
-          header = Some header;
-          records = List.rev !records;
-          tail_error = !tail_error;
+          header = Some (String.sub content 0 header_end);
+          records;
+          tail_error;
           length = len;
         }
 

@@ -77,6 +77,23 @@ module Framed : sig
   (** The exact bytes {!append} writes for a payload — exposed so tests
       can build corrupt files surgically. *)
 
+  val frame_length : string -> int
+  (** [String.length (frame payload)], without building the frame. *)
+
+  val blit_frame : string -> Bytes.t -> int -> int
+  (** [blit_frame payload dst off] writes [frame payload] into [dst] at
+      [off] and returns the offset just past it. *)
+
+  val check : string -> pos:int -> limit:int -> (int * int, string) result
+  (** [check s ~pos ~limit] checks, in place, the record that starts at
+      [pos] and must end by [limit]: a canonical decimal length (no
+      leading zero, at most 10 digits), a space, the payload, a space,
+      the 16 lower-case hex digits of the payload's FNV-1a 64 digest and
+      a newline — exactly the bytes {!frame} writes. [Ok (at, len)]
+      locates the payload; the record ends at [at + len + 18]. [Error]
+      names the first part that is wrong, in the words {!scan} reports.
+      Nothing is copied. *)
+
   type writer
 
   val create :

@@ -218,16 +218,16 @@ let responses =
   codec "response" response_rows response_values response_of_values
 
 (* Read the fields of row [tag] in order — [read] gets each field's
-   binary offset too — range-check each, and hand the values to the
-   codec's validation. *)
+   index and binary offset too — range-check each, and hand the values
+   to the codec's validation. *)
 let decode codec tag read =
-  let rec fields at = function
+  let rec fields i at = function
     | [] -> []
     | f :: rest ->
-        let v = check_range f (read at f) in
-        v :: fields (at + width (snd f)) rest
+        let v = check_range f (read i at f) in
+        v :: fields (i + 1) (at + width (snd f)) rest
   in
-  match fields 1 codec.shapes.(tag - 1).fields with
+  match fields 0 1 codec.shapes.(tag - 1).fields with
   | values -> codec.of_values tag values
   | exception Refused msg -> Error msg
 
@@ -249,74 +249,166 @@ let to_string codec m =
   List.iter2
     (fun (name, kind) v ->
       Buffer.add_char b ' ';
-      if kind <> Text then Buffer.add_string b (name ^ "=");
+      (match kind with
+      | Text -> ()
+      | _ ->
+          Buffer.add_string b name;
+          Buffer.add_char b '=');
       Buffer.add_string b (render v))
     shape.fields values;
   Buffer.contents b
 
-let parse (name, kind) text =
-  let bad what = refuse "bad %s %S for %S" what text name in
+(* The parser reads spans [a, b) of the payload in place; only a float,
+   an int that is not a short unsigned decimal, free text or an error
+   message is copied out. *)
+
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+(* The first [c] in [text.[a, b)], or [b]. *)
+let index_in text a b c =
+  let i = ref a in
+  while !i < b && text.[!i] <> c do
+    incr i
+  done;
+  !i
+
+(* [text.[a, b)] is [s]. *)
+let span_is text a b s =
+  let n = String.length s in
+  b - a = n
+  &&
+  let i = ref 0 in
+  while !i < n && text.[a + !i] = s.[!i] do
+    incr i
+  done;
+  !i = n
+
+(* The value of [text.[a, b)] when it is an unsigned decimal of 1 to 15
+   digits, which cannot overflow, or -1: [int_of_string_opt] reads every
+   other spelling. *)
+let decimal text a b =
+  let n = ref (if a < b && b - a <= 15 then 0 else -1) and i = ref a in
+  while !n >= 0 && !i < b do
+    (match text.[!i] with
+    | '0' .. '9' as c -> n := (10 * !n) + Char.code c - 48
+    | _ -> n := -1);
+    incr i
+  done;
+  !n
+
+let bad what name text a b =
+  refuse "bad %s %S for %S" what (String.sub text a (b - a)) name
+
+let parse (name, kind) text a b =
   match kind with
-  | Text -> S text
+  | Text -> S (String.sub text a (b - a))
   | F64 -> (
-      match float_of_string_opt text with Some f -> F f | None -> bad "float")
-  | Kleft when text = "-" -> K None
+      match float_of_string_opt (String.sub text a (b - a)) with
+      | Some f -> F f
+      | None -> bad "float" name text a b)
+  | Kleft when b - a = 1 && text.[a] = '-' -> K None
   | Kleft | Flag | I32 _ | I64 -> (
-      match (kind, int_of_string_opt text) with
-      | _, None -> bad "int"
+      let int =
+        match decimal text a b with
+        | -1 -> int_of_string_opt (String.sub text a (b - a))
+        | n -> Some n
+      in
+      match (kind, int) with
+      | _, None -> bad "int" name text a b
       | Kleft, Some k -> K (Some k)
       | Flag, Some ((0 | 1) as b) -> B (b = 1)
       | Flag, Some _ -> refuse "%s must be 0 or 1" name
       | _, Some i -> I i)
 
-(* key=value fields after the leading keyword; order-insensitive,
-   duplicates rejected, every field mandatory — a stricter parse than
-   the single producer needs, but the journal outlives the producer. *)
-let fields_of tokens =
-  let rec go acc = function
-    | [] -> Ok acc
-    | tok :: rest -> (
-        match String.index_opt tok '=' with
-        | None -> Error (Printf.sprintf "malformed field %S" tok)
-        | Some i ->
-            let k = String.sub tok 0 i in
-            let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-            if List.mem_assoc k acc then
-              Error (Printf.sprintf "duplicate field %S" k)
-            else go ((k, v) :: acc) rest)
-  in
-  go [] tokens
+(* The row position of the field named [text.[a, b)], or -1. *)
+let rec position fields text a b i =
+  match fields with
+  | [] -> -1
+  | (name, _) :: rest ->
+      if span_is text a b name then i else position rest text a b (i + 1)
 
-(* A free-text field is everything after the keyword's one separating
-   space, verbatim: the frame already delimits it. *)
-let free_text text keyword =
-  let n = String.length text in
-  let rec lead i =
-    if i < n && String.contains " \012\n\r\t" text.[i] then lead (i + 1) else i
-  in
-  let i = lead 0 + String.length keyword in
-  if i < n && text.[i] = ' ' then String.sub text (i + 1) (n - i - 1) else ""
+module Keys = Set.Make (String)
 
+let duplicate text a eq =
+  Error (Printf.sprintf "duplicate field %S" (String.sub text a (eq - a)))
+
+(* The [key=value] tokens of [text.[a, hi)], split on single spaces.
+   Each schema field's value span goes to [spans] at the field's row
+   position and each unknown key into the set [unknown], so a repeated
+   key, unknown ones included, costs O(N log N) whatever keys a client
+   picks. The first malformed or repeated key, left to right, is the
+   error. Order is free, every field is mandatory (checked by the
+   caller) and unknown keys are ignored: a stricter parse than the
+   single producer needs, but the journal outlives the producer. *)
+let rec locate_fields shape text a hi spans unknown =
+  let b = index_in text a hi ' ' in
+  let eq = index_in text a b '=' in
+  if eq = b then
+    Error (Printf.sprintf "malformed field %S" (String.sub text a (b - a)))
+  else
+    let field = position shape.fields text a eq 0 in
+    if field >= 0 then
+      if spans.(2 * field) >= 0 then duplicate text a eq
+      else begin
+        spans.(2 * field) <- eq + 1;
+        spans.((2 * field) + 1) <- b;
+        next_field shape text b hi spans unknown
+      end
+    else
+      let key = String.sub text a (eq - a) in
+      if Keys.mem key unknown then duplicate text a eq
+      else next_field shape text b hi spans (Keys.add key unknown)
+
+and next_field shape text b hi spans unknown =
+  if b = hi then Ok () else locate_fields shape text (b + 1) hi spans unknown
+
+(* One left-to-right pass over the payload, trimmed as by
+   [String.trim]; the keyword runs up to the first space. *)
 let of_string codec text =
-  match String.split_on_char ' ' (String.trim text) with
-  | [] | [ "" ] -> Error ("empty " ^ codec.what)
-  | keyword :: tokens -> (
-      match
-        Array.find_index (fun s -> String.equal s.keyword keyword) codec.shapes
-      with
-      | None -> Error (Printf.sprintf "unknown %s %S" codec.what keyword)
-      | Some i -> (
-          let shape = codec.shapes.(i) in
-          if shape.free then
-            decode codec (i + 1) (fun _ _ -> S (free_text text keyword))
-          else if shape.fields = [] && tokens <> [] then
-            Error (Printf.sprintf "%S takes no fields" keyword)
-          else
-            let* fields = fields_of tokens in
-            decode codec (i + 1) (fun _ ((name, _) as field) ->
-                match List.assoc_opt name fields with
-                | None -> refuse "missing field %S" name
-                | Some v -> parse field v)))
+  let n = String.length text in
+  let lo = ref 0 and hi = ref n in
+  while !lo < n && is_space text.[!lo] do
+    incr lo
+  done;
+  while !hi > !lo && is_space text.[!hi - 1] do
+    decr hi
+  done;
+  let lo = !lo and hi = !hi in
+  if lo = hi then Error ("empty " ^ codec.what)
+  else
+    let kend = index_in text lo hi ' ' and tag = ref 0 in
+    while
+      !tag < Array.length codec.shapes
+      && not (span_is text lo kend codec.shapes.(!tag).keyword)
+    do
+      incr tag
+    done;
+    if !tag = Array.length codec.shapes then
+      Error
+        (Printf.sprintf "unknown %s %S" codec.what
+           (String.sub text lo (kend - lo)))
+    else
+      let shape = codec.shapes.(!tag) in
+      if shape.free then
+        (* Everything after the keyword's one separating space, verbatim
+           and untrimmed: the frame already delimits it. *)
+        let message =
+          if kend < n && text.[kend] = ' ' then
+            String.sub text (kend + 1) (n - kend - 1)
+          else ""
+        in
+        decode codec (!tag + 1) (fun _ _ _ -> S message)
+      else if kend < hi && shape.fields = [] then
+        Error (Printf.sprintf "%S takes no fields" shape.keyword)
+      else
+        let spans = Array.make (2 * List.length shape.fields) (-1) in
+        let* () =
+          if kend = hi then Ok ()
+          else locate_fields shape text (kend + 1) hi spans Keys.empty
+        in
+        decode codec (!tag + 1) (fun i _ ((name, _) as field) ->
+            if spans.(2 * i) < 0 then refuse "missing field %S" name
+            else parse field text spans.(2 * i) spans.((2 * i) + 1))
 
 (* Binary: the tag byte, then each field little-endian at a fixed
    offset — float64 bit patterns, int32/int64 counters, one flag byte —
@@ -374,7 +466,7 @@ let of_binary codec s =
         Error
           (Printf.sprintf "%s payload is %d bytes, expected %d" shape.keyword
              len (1 + shape.size))
-      else decode codec tag (get s)
+      else decode codec tag (fun _ at field -> get s at field)
 
 let request_to_string = to_string requests
 let request_of_string = of_string requests

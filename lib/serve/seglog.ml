@@ -137,7 +137,7 @@ let rotate t =
 
 let append t payload =
   Framed.append t.writer payload;
-  t.live_bytes <- t.live_bytes + String.length (Framed.frame payload);
+  t.live_bytes <- t.live_bytes + Framed.frame_length payload;
   match t.rotate_bytes with
   | Some limit when t.live_bytes > limit -> rotate t
   | _ -> ()

@@ -14,18 +14,22 @@ type conn = {
   fd : Unix.file_descr;
   mutable mode : mode;
   mutable max_frame : int;
-  (* Read buffer: one [Unix.read] refills a whole segment's worth of
-     bytes, so a frame costs O(1) syscalls instead of one per prefix
-     byte. [pos, len) is the unread window. *)
-  buf : Bytes.t;
+  (* Read buffer: one [Unix.read] takes as many bytes as fit, so a frame
+     costs O(1) syscalls instead of one per prefix byte. [pos, len) is the
+     unread window. A frame is checked where it lies in the buffer, which
+     grows to hold a frame larger than itself and shrinks back once
+     drained. *)
+  mutable buf : Bytes.t;
   mutable pos : int;
   mutable len : int;
 }
 
+let buffer_size = 8192
+
 let of_fd ?(mode = Text) ?(max_frame = default_max_frame) fd =
   if max_frame < 1 || max_frame > hard_max_frame then
     invalid_arg "Wire.of_fd: max_frame out of range";
-  { fd; mode; max_frame; buf = Bytes.create 8192; pos = 0; len = 0 }
+  { fd; mode; max_frame; buf = Bytes.create buffer_size; pos = 0; len = 0 }
 
 let fd conn = conn.fd
 let mode conn = conn.mode
@@ -36,7 +40,7 @@ let rec restart_on_eintr f =
   try f () with Unix.Unix_error (Unix.EINTR, _, _) -> restart_on_eintr f
 
 (* A socket receive timeout (SO_RCVTIMEO) expiring mid-read. Raised out
-   of [refill] and converted to [Torn] at every public read entry point,
+   of [ensure] and converted to [Torn] at every public read entry point,
    so a peer that stalls half way through a frame surfaces as a damaged
    connection, never as an exception escaping the caller's loop. *)
 exception Stalled
@@ -46,159 +50,193 @@ let stall_guard f =
   with Stalled -> Error (Torn "receive timed out waiting for frame bytes")
 
 let write_all fd bytes =
-  let len = String.length bytes in
+  let len = Bytes.length bytes in
   let off = ref 0 in
   while !off < len do
     let n =
-      restart_on_eintr (fun () ->
-          Unix.write_substring fd bytes !off (len - !off))
+      restart_on_eintr (fun () -> Unix.write fd bytes !off (len - !off))
     in
     off := !off + n
   done
 
-(* [false] on EOF. *)
-let refill conn =
-  let n =
+(* Make the next [n] unread bytes contiguous at [pos], reading as needed;
+   [false] on EOF before they all arrive. *)
+let rec fill conn n =
+  conn.len - conn.pos >= n
+  ||
+  let got =
     try
       restart_on_eintr (fun () ->
-          Unix.read conn.fd conn.buf 0 (Bytes.length conn.buf))
+          Unix.read conn.fd conn.buf conn.len
+            (Bytes.length conn.buf - conn.len))
     with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       raise Stalled
   in
-  conn.pos <- 0;
-  conn.len <- n;
-  n > 0
+  conn.len <- conn.len + got;
+  got > 0 && fill conn n
 
-let rec read_byte conn =
-  if conn.pos < conn.len then begin
-    let c = Bytes.get conn.buf conn.pos in
-    conn.pos <- conn.pos + 1;
-    Some c
+let ensure conn n =
+  conn.len - conn.pos >= n
+  ||
+  let cap = Bytes.length conn.buf in
+  if conn.pos + n > cap then begin
+    let buf = if n > cap then Bytes.create n else conn.buf in
+    Bytes.blit conn.buf conn.pos buf 0 (conn.len - conn.pos);
+    conn.buf <- buf;
+    conn.len <- conn.len - conn.pos;
+    conn.pos <- 0
+  end;
+  fill conn n
+
+let consume conn n =
+  conn.pos <- conn.pos + n;
+  if conn.pos = conn.len then begin
+    conn.pos <- 0;
+    conn.len <- 0;
+    if Bytes.length conn.buf > buffer_size then
+      conn.buf <- Bytes.create buffer_size
   end
-  else if refill conn then read_byte conn
-  else None
 
-let rec peek_byte conn =
-  if conn.pos < conn.len then Some (Bytes.get conn.buf conn.pos)
-  else if refill conn then peek_byte conn
-  else None
+(* An EOF inside a frame drops what arrived of it. *)
+let consume_all conn = consume conn (conn.len - conn.pos)
 
-type read_result = Rok of string | Reof_start | Reof_mid
+let peek_byte conn =
+  if ensure conn 1 then Some (Bytes.get conn.buf conn.pos) else None
 
 let read_exact conn n =
-  let out = Bytes.create n in
-  let rec go off =
-    if off >= n then Rok (Bytes.unsafe_to_string out)
-    else if conn.pos < conn.len then begin
-      let take = min (conn.len - conn.pos) (n - off) in
-      Bytes.blit conn.buf conn.pos out off take;
-      conn.pos <- conn.pos + take;
-      go (off + take)
-    end
-    else if refill conn then go off
-    else if off = 0 then Reof_start
-    else Reof_mid
-  in
-  go 0
+  if ensure conn n then begin
+    let s = Bytes.sub_string conn.buf conn.pos n in
+    consume conn n;
+    Some s
+  end
+  else begin
+    consume_all conn;
+    None
+  end
+
+let too_long conn len =
+  Torn
+    (Printf.sprintf "frame length %d exceeds max frame %d" len conn.max_frame)
 
 (* binary framing: 4-byte LE length, payload, 8-byte LE fnv1a64 *)
 
-let binary_frame payload =
+let blit_binary payload dst off =
   let len = String.length payload in
-  let b = Bytes.create (4 + len + 8) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.blit_string payload 0 b 4 len;
-  Bytes.set_int64_le b (4 + len) (Numerics.Checksum.fnv1a64 payload);
-  Bytes.unsafe_to_string b
+  Bytes.set_int32_le dst off (Int32.of_int len);
+  Bytes.blit_string payload 0 dst (off + 4) len;
+  Bytes.set_int64_le dst (off + 4 + len) (Numerics.Checksum.fnv1a64 payload);
+  off + 4 + len + 8
 
-let frame_for conn payload =
+let frame_length conn payload =
   if String.length payload > conn.max_frame then
     invalid_arg
       (Printf.sprintf "Wire.send: payload length %d exceeds max frame %d"
          (String.length payload) conn.max_frame);
   match conn.mode with
-  | Text -> Robust.Durable.Framed.frame payload
-  | Binary -> binary_frame payload
+  | Text -> Robust.Durable.Framed.frame_length payload
+  | Binary -> 4 + String.length payload + 8
 
-let send conn payload = write_all conn.fd (frame_for conn payload)
+let rec frames_length conn n = function
+  | [] -> n
+  | payload :: rest -> frames_length conn (n + frame_length conn payload) rest
+
+let rec blit_frames conn dst off = function
+  | [] -> ()
+  | payload :: rest ->
+      let next =
+        match conn.mode with
+        | Text -> Robust.Durable.Framed.blit_frame payload dst off
+        | Binary -> blit_binary payload dst off
+      in
+      blit_frames conn dst next rest
 
 let send_many conn payloads =
-  (* One write for the whole burst: framing per payload is unchanged,
-     only the syscalls are amortized — a receiver cannot tell the
-     difference, but a reply batch costs one [write] instead of one per
-     frame. *)
-  match payloads with
-  | [] -> ()
-  | [ payload ] -> send conn payload
-  | payloads ->
-      write_all conn.fd (String.concat "" (List.map (frame_for conn) payloads))
+  (* Every frame goes into one buffer and out with one write: framing per
+     payload is unchanged, so a receiver cannot tell the difference, but a
+     reply batch costs one [write] instead of one per frame. *)
+  let dst = Bytes.create (frames_length conn 0 payloads) in
+  blit_frames conn dst 0 payloads;
+  write_all conn.fd dst
 
-(* The decimal length prefix, ended by the separating space. Kept as the
-   raw digit string so the final byte-for-byte comparison against
-   [Framed.frame payload] also rejects non-canonical renderings (leading
-   zeros) instead of silently normalising them. *)
-let read_prefix conn =
-  let buf = Buffer.create 8 in
-  let rec go () =
-    match read_byte conn with
-    | None ->
-        if Buffer.length buf = 0 then Error Closed
-        else Error (Torn "eof inside length prefix")
-    | Some ' ' when Buffer.length buf > 0 -> (
-        let digits = Buffer.contents buf in
-        match int_of_string_opt digits with
-        | Some len when len >= 0 && len <= conn.max_frame -> Ok (digits, len)
-        | Some len ->
-            Error
-              (Torn
-                 (Printf.sprintf "frame length %d exceeds max frame %d" len
-                    conn.max_frame))
-        | None -> Error (Torn "unparseable length prefix"))
-    | Some ('0' .. '9' as c) ->
-        if Buffer.length buf >= 8 then Error (Torn "oversized length prefix")
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-    | Some _ -> Error (Torn "non-digit in length prefix")
-  in
-  go ()
+let send conn payload = send_many conn [ payload ]
 
-let recv_text conn =
-  match read_prefix conn with
-  | Error _ as e -> e
-  | Ok (digits, len) -> (
-      (* payload, then " <16-hex>\n". *)
-      match read_exact conn (len + 18) with
-      | Reof_start | Reof_mid -> Error (Torn "eof inside frame body")
-      | Rok body ->
-          let payload = String.sub body 0 len in
-          let received = digits ^ " " ^ body in
-          if String.equal received (Robust.Durable.Framed.frame payload) then
-            Ok payload
-          else Error (Torn "checksum mismatch"))
+(* A text frame is read in two steps: the decimal length prefix, up to
+   its separating space, which bounds the frame before any of its body is
+   buffered; then the whole frame, checked in place by
+   [Framed.check] — the journal's own record check, so acceptance means
+   exactly that these are the bytes [Framed.frame] writes for the
+   payload, and a non-canonical prefix (a leading zero) is refused. *)
+let rec text_prefix conn i len =
+  if not (ensure conn (i + 1)) then begin
+    consume_all conn;
+    if i = 0 then Error Closed else Error (Torn "eof inside length prefix")
+  end
+  else
+    match Bytes.get conn.buf (conn.pos + i) with
+    | ' ' when i > 0 -> text_body conn ~head:(i + 1) len
+    | '0' .. '9' when i >= 8 ->
+        consume conn (i + 1);
+        Error (Torn "oversized length prefix")
+    | '0' .. '9' as c ->
+        text_prefix conn (i + 1) ((10 * len) + Char.code c - 48)
+    | _ ->
+        consume conn (i + 1);
+        Error (Torn "non-digit in length prefix")
+
+and text_body conn ~head len =
+  if len > conn.max_frame then begin
+    consume conn head;
+    Error (too_long conn len)
+  end
+  else if not (ensure conn (head + len + 18)) then begin
+    consume_all conn;
+    Error (Torn "eof inside frame body")
+  end
+  else
+    let result =
+      match
+        Robust.Durable.Framed.check
+          (Bytes.unsafe_to_string conn.buf)
+          ~pos:conn.pos ~limit:conn.len
+      with
+      | Ok (at, n) -> Ok (Bytes.sub_string conn.buf at n)
+      | Error _ -> Error (Torn "checksum mismatch")
+    in
+    consume conn (head + len + 18);
+    result
+
+let recv_text conn = text_prefix conn 0 0
 
 let recv_binary conn =
-  match read_exact conn 4 with
-  | Reof_start -> Error Closed
-  | Reof_mid -> Error (Torn "eof inside frame header")
-  | Rok header -> (
-      let len = Int32.to_int (String.get_int32_le header 0) in
-      if len < 0 then Error (Torn (Printf.sprintf "negative frame length %d" len))
-      else if len > conn.max_frame then
-        Error
-          (Torn
-             (Printf.sprintf "frame length %d exceeds max frame %d" len
-                conn.max_frame))
-      else
-        match read_exact conn (len + 8) with
-        | Reof_start | Reof_mid -> Error (Torn "eof inside frame body")
-        | Rok body ->
-            let payload = String.sub body 0 len in
-            let sum = String.get_int64_le body len in
-            if Int64.equal sum (Numerics.Checksum.fnv1a64 payload) then
-              Ok payload
-            else Error (Torn "checksum mismatch"))
+  if not (ensure conn 4) then begin
+    let torn = buffered conn in
+    consume_all conn;
+    if torn then Error (Torn "eof inside frame header") else Error Closed
+  end
+  else
+    let len = Int32.to_int (Bytes.get_int32_le conn.buf conn.pos) in
+    if len < 0 || len > conn.max_frame then begin
+      consume conn 4;
+      if len < 0 then
+        Error (Torn (Printf.sprintf "negative frame length %d" len))
+      else Error (too_long conn len)
+    end
+    else if not (ensure conn (4 + len + 8)) then begin
+      consume_all conn;
+      Error (Torn "eof inside frame body")
+    end
+    else
+      let at = conn.pos + 4 in
+      let sum =
+        Numerics.Checksum.fnv1a64_sub (Bytes.unsafe_to_string conn.buf) at len
+      in
+      let result =
+        if Int64.equal sum (Bytes.get_int64_le conn.buf (at + len)) then
+          Ok (Bytes.sub_string conn.buf at len)
+        else Error (Torn "checksum mismatch")
+      in
+      consume conn (4 + len + 8);
+      result
 
 let recv conn =
   stall_guard (fun () ->
@@ -219,7 +257,7 @@ let client_hello conn ~mode ?max_frame () =
   let hello = Bytes.create 5 in
   Bytes.set hello 0 (hello_char mode);
   Bytes.set_int32_le hello 1 (Int32.of_int requested);
-  write_all conn.fd (Bytes.unsafe_to_string hello);
+  write_all conn.fd hello;
   stall_guard @@ fun () ->
   match peek_byte conn with
   | None -> Error Closed
@@ -230,8 +268,8 @@ let client_hello conn ~mode ?max_frame () =
       Ok false
   | Some _ -> (
       match read_exact conn 5 with
-      | Reof_start | Reof_mid -> Error (Torn "eof inside hello ack")
-      | Rok ack ->
+      | None -> Error (Torn "eof inside hello ack")
+      | Some ack ->
           if not (Char.equal ack.[0] (hello_char mode)) then
             Error
               (Torn
@@ -257,8 +295,8 @@ let server_negotiate conn =
   | Some '0' .. '9' -> Ok () (* legacy text client: nothing consumed *)
   | Some _ -> (
       match read_exact conn 5 with
-      | Reof_start | Reof_mid -> Error (Torn "eof inside hello")
-      | Rok hello -> (
+      | None -> Error (Torn "eof inside hello")
+      | Some hello -> (
           match hello.[0] with
           | ('T' | 'B') as m ->
               let requested = Int32.to_int (String.get_int32_le hello 1) in
@@ -280,7 +318,7 @@ let server_negotiate conn =
                 let ack = Bytes.create 5 in
                 Bytes.set ack 0 m;
                 Bytes.set_int32_le ack 1 (Int32.of_int granted);
-                write_all conn.fd (Bytes.unsafe_to_string ack);
+                write_all conn.fd ack;
                 conn.mode <- (if Char.equal m 'B' then Binary else Text);
                 conn.max_frame <- granted;
                 Ok ()

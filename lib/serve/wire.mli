@@ -96,11 +96,13 @@ val send_many : conn -> string list -> unit
 
 val recv : conn -> (string, error) result
 (** Read one frame in the connection's mode and return its verified
-    payload. Text frames are re-framed with
-    {!Robust.Durable.Framed.frame} and compared byte-for-byte, so
-    acceptance means exactly: this is the framing the sender's [frame]
-    produced for this payload. Binary frames verify the FNV-1a 64
-    checksum.
+    payload. A frame is checked where it lies in the read buffer and
+    only its payload is copied out. Text frames go through
+    {!Robust.Durable.Framed.check}, so acceptance means exactly: these
+    are the bytes the sender's {!Robust.Durable.Framed.frame} produced
+    for this payload (a leading zero in the length, an upper-case
+    digest or a wrong separator is a checksum mismatch). Binary frames
+    verify the FNV-1a 64 checksum.
 
     Reads block until a whole frame arrives — unless the socket carries
     a receive timeout ([SO_RCVTIMEO]), in which case a peer that goes

@@ -27,6 +27,47 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
+(* Checksum: FNV-1a 64 as the spec states it, one byte at a time, and
+   the hex spelling every frame and journal carries. *)
+
+let reference_fnv s =
+  String.fold_left
+    (fun h c ->
+      Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    0xcbf29ce484222325L s
+
+let fnv1a64_matches_fold =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"fnv1a64 matches a byte-by-byte fold" ~count:2000
+       QCheck.(
+         triple (string_gen_of_size Gen.(int_bound 300) Gen.char) small_nat
+           small_nat)
+       (fun (s, i, j) ->
+         let off = i mod (String.length s + 1) in
+         let len = j mod (String.length s - off + 1) in
+         Int64.equal (Numerics.Checksum.fnv1a64 s) (reference_fnv s)
+         && Int64.equal
+              (Numerics.Checksum.fnv1a64_sub s off len)
+              (reference_fnv (String.sub s off len))))
+
+let to_hex_matches_printf =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"to_hex matches %016Lx" ~count:2000
+       QCheck.(
+         make ~print:Int64.to_string
+           Gen.(
+             oneof
+               [
+                 map Int64.of_int int;
+                 oneofl [ 0L; -1L; Int64.min_int; Int64.max_int; 0xaL ];
+                 map2
+                   (fun hi lo ->
+                     Int64.(logor (shift_left (of_int hi) 32) (of_int lo)))
+                   int int;
+               ]))
+       (fun h ->
+         String.equal (Numerics.Checksum.to_hex h) (Printf.sprintf "%016Lx" h)))
+
 (* Framed roundtrip *)
 
 (* Payloads chosen to defeat a parser that trusts content instead of the
@@ -57,6 +98,45 @@ let test_framed_roundtrip () =
       Alcotest.(check (list string)) "payloads survive verbatim"
         nasty_payloads
         (List.map snd s.D.Framed.records))
+
+(* The frame, built by blits, is exactly the [Printf] spelling of the
+   record format, the empty payload included. *)
+let printf_frame p =
+  Printf.sprintf "%d %s %016Lx\n" (String.length p) p
+    (Numerics.Checksum.fnv1a64 p)
+
+let frame_matches_printf =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"frame matches the printf spelling" ~count:2000
+       QCheck.(
+         make ~print:String.escaped
+           Gen.(
+             oneof
+               [
+                 oneofl nasty_payloads;
+                 string_size ~gen:char (int_bound 300);
+                 map
+                   (fun n -> String.make n 'x')
+                   (oneofl [ 9; 10; 99; 100; 10_000 ]);
+               ]))
+       (fun p ->
+         String.equal (D.Framed.frame p) (printf_frame p)
+         && D.Framed.frame_length p = String.length (printf_frame p)))
+
+(* The scan and the wire share one record check: a record whose length
+   prefix has a leading zero is bytes [frame] never writes, so the scan
+   stops there too. *)
+let test_scan_refuses_noncanonical_length () =
+  with_temp (fun path ->
+      let good = D.Framed.frame "ok" and seven = D.Framed.frame "payload" in
+      write_file path ("# store v1\n" ^ good ^ "0" ^ seven);
+      let s = D.Framed.scan ~path in
+      Alcotest.(check (list string)) "records before it" [ "ok" ]
+        (List.map snd s.D.Framed.records);
+      Alcotest.(check (option (pair int string)))
+        "stops at the leading zero"
+        (Some (11 + String.length good, "torn or malformed length prefix"))
+        s.D.Framed.tail_error)
 
 let test_framed_append_reopen () =
   with_temp (fun path ->
@@ -308,7 +388,11 @@ let () =
             test_framed_append_reopen;
           Alcotest.test_case "recovery under every truncation offset" `Quick
             test_truncation_property;
+          frame_matches_printf;
+          Alcotest.test_case "scan refuses a non-canonical length" `Quick
+            test_scan_refuses_noncanonical_length;
         ] );
+      ("checksum", [ fnv1a64_matches_fold; to_hex_matches_printf ]);
       ( "atomic publish",
         [
           Alcotest.test_case "publishes and replaces" `Quick

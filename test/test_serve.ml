@@ -385,11 +385,9 @@ let binary_text_spellings_agree =
                ~to_binary:Protocol.response_to_binary
                ~of_binary:Protocol.response_of_binary resp))
 
-(* Decoding is total: random bytes, truncations, splices and token-level
-   mutations of valid spellings never raise out of any of the four
-   decoders — a malformed frame must become an error reply, never a
-   dead worker. *)
-let decoders_are_total =
+(* Payloads for the decoder properties: random bytes, truncations,
+   splices and token-level mutations of valid spellings. *)
+let fuzz_payload =
   (* a valid spelling, binary when the value fits it *)
   let spelled to_binary to_text gen =
     QCheck.Gen.map
@@ -408,55 +406,214 @@ let decoders_are_total =
       ]
   in
   let cut s i = i mod (String.length s + 1) in
-  let payload =
-    QCheck.Gen.(
-      frequency
-        [
-          (1, string_size ~gen:char (int_bound 80));
-          ( 1,
-            map2 (fun s i -> String.sub s 0 (cut s i)) spell small_nat );
-          ( 1,
-            map4
-              (fun a b i j ->
-                let j = cut b j in
-                String.sub a 0 (cut a i) ^ String.sub b j (String.length b - j))
-              spell spell small_nat small_nat );
-          ( 2,
-            map3
-              (fun s i tok ->
-                match String.split_on_char ' ' s with
-                | [] -> s
-                | toks ->
-                    let i = i mod List.length toks in
-                    String.concat " "
-                      (List.mapi (fun j t -> if j = i then tok else t) toks))
-              spell small_nat
-              (oneofl
-                 [
-                   ""; "-"; "="; "x="; "sid=0"; "kleft=-2"; "k=4294967297";
-                   "recovering=2"; "builds=9223372036854775807"; "error";
-                   "\x03"; "\x04"; "\x05\xff"; "  ";
-                 ]) );
-          ( 1,
-            map3
-              (fun s i c ->
-                if s = "" then s
-                else
-                  let b = Bytes.of_string s in
-                  Bytes.set b (i mod Bytes.length b) c;
-                  Bytes.to_string b)
-              spell small_nat char );
-        ])
-  in
+  QCheck.Gen.(
+    frequency
+      [
+        (1, string_size ~gen:char (int_bound 80));
+        ( 1,
+          map2 (fun s i -> String.sub s 0 (cut s i)) spell small_nat );
+        ( 1,
+          map4
+            (fun a b i j ->
+              let j = cut b j in
+              String.sub a 0 (cut a i) ^ String.sub b j (String.length b - j))
+            spell spell small_nat small_nat );
+        ( 2,
+          map3
+            (fun s i tok ->
+              match String.split_on_char ' ' s with
+              | [] -> s
+              | toks ->
+                  let i = i mod List.length toks in
+                  String.concat " "
+                    (List.mapi (fun j t -> if j = i then tok else t) toks))
+            spell small_nat
+            (oneofl
+               [
+                 ""; "-"; "="; "x="; "sid=0"; "kleft=-2"; "k=4294967297";
+                 "recovering=2"; "builds=9223372036854775807"; "error";
+                 "\x03"; "\x04"; "\x05\xff"; "  ";
+               ]) );
+        ( 1,
+          map3
+            (fun s i c ->
+              if s = "" then s
+              else
+                let b = Bytes.of_string s in
+                Bytes.set b (i mod Bytes.length b) c;
+                Bytes.to_string b)
+            spell small_nat char );
+      ])
+
+(* Decoding is total: no fuzz payload raises out of any of the four
+   decoders — a malformed frame must become an error reply, never a
+   dead worker. *)
+let decoders_are_total =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"decoders are total" ~count:5000
-       (QCheck.make ~print:String.escaped payload)
+       (QCheck.make ~print:String.escaped fuzz_payload)
        (fun s ->
          ignore (Protocol.request_of_string s);
          ignore (Protocol.request_of_binary s);
          ignore (Protocol.response_of_string s);
          ignore (Protocol.response_of_binary s);
          true))
+
+(* Text spellings bent the ways a hand-written or hostile client bends
+   them: fields reordered, repeated or joined by unknown keys, words
+   separated by runs of spaces, the payload padded with whitespace. *)
+let bent_text =
+  let text =
+    QCheck.Gen.oneof
+      [
+        QCheck.Gen.map Protocol.request_to_string gen_request;
+        QCheck.Gen.map Protocol.response_to_string gen_response;
+      ]
+  in
+  let junk =
+    QCheck.Gen.oneofl
+      [ "junk=1"; "x="; "="; "a=b=c"; "junk=2"; "lambda"; "k=1"; "sid=3"; "-" ]
+  in
+  let pad =
+    QCheck.Gen.(
+      string_size
+        ~gen:(oneofl [ ' '; '\t'; '\n'; '\r'; '\012' ])
+        (int_bound 3))
+  in
+  let bend (keyword, fields) = function
+    | `Reorder seed ->
+        let keyed = List.mapi (fun i f -> (Hashtbl.hash (seed, i), f)) fields in
+        (keyword, List.map snd (List.sort compare keyed))
+    | `Repeat i when fields <> [] ->
+        let f = List.nth fields (i mod List.length fields) in
+        (keyword, fields @ [ f ])
+    | `Junk (i, j) ->
+        let i = i mod (List.length fields + 1) in
+        let before = List.filteri (fun k _ -> k < i) fields
+        and after = List.filteri (fun k _ -> k >= i) fields in
+        (keyword, before @ (j :: after))
+    | _ -> (keyword, fields)
+  in
+  QCheck.Gen.(
+    map
+      (fun (((t, bends), (spaces, lead)), trail) ->
+        match String.split_on_char ' ' t with
+        | [] -> t
+        | keyword :: fields ->
+            let keyword, fields = List.fold_left bend (keyword, fields) bends in
+            lead ^ String.concat spaces (keyword :: fields) ^ trail)
+      (pair
+         (pair
+            (pair text
+               (list_size (int_bound 3)
+                  (oneof
+                     [
+                       map (fun s -> `Reorder s) int;
+                       map (fun i -> `Repeat i) small_nat;
+                       map2 (fun i j -> `Junk (i, j)) small_nat junk;
+                     ])))
+            (pair (oneofl [ " "; " "; "  "; "   " ]) pad))
+         pad))
+
+(* The single-pass text decoder answers exactly as the frozen one in
+   ref_protocol.ml: the same value — floats compared by bit pattern,
+   through the binary spelling, which every decoded value fits — or the
+   same error message, word for word. *)
+let text_decoder_matches_reference =
+  let same ~to_binary mine theirs =
+    match (mine, theirs) with
+    | Ok a, Ok b -> compare a b = 0 && String.equal (to_binary a) (to_binary b)
+    | Error e, Error f -> String.equal e f
+    | _ -> false
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"text decoder matches the frozen reference"
+       ~count:5000
+       (QCheck.make ~print:String.escaped
+          QCheck.Gen.(frequency [ (1, fuzz_payload); (2, bent_text) ]))
+       (fun s ->
+         same ~to_binary:Protocol.request_to_binary
+           (Protocol.request_of_string s)
+           (Ref_protocol.request_of_string s)
+         && same ~to_binary:Protocol.response_to_binary
+              (Protocol.response_of_string s)
+              (Ref_protocol.response_of_string s)))
+
+(* A payload of distinct unknown keys is refused for its first missing
+   field, in linear time. Checking each key against every earlier one is
+   O(N²): 32,000 keys take 10.5 s that way, stalling the worker and every
+   connection batched on it. *)
+let refused_in_time keys =
+  let payload =
+    "query " ^ String.concat " " (List.map (fun k -> k ^ "=1") keys)
+  in
+  let t0 = Unix.gettimeofday () in
+  let result = Protocol.request_of_string payload in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match result with
+  | Error msg ->
+      Alcotest.(check string) "refused for its first missing field"
+        "missing field \"lambda\"" msg
+  | Ok _ -> Alcotest.fail "junk-only query accepted");
+  if elapsed > 2.0 then
+    Alcotest.failf "%d junk keys took %.2f s (bound 2 s)" (List.length keys)
+      elapsed
+
+let test_text_decoder_is_linear () =
+  refused_in_time (List.init 64_000 (Printf.sprintf "k%d"))
+
+(* [n] distinct 8-byte keys with one [Hashtbl.hash]. The string hash
+   mixes each little-endian 4-byte block [w] into its state [h] as
+   [g (h lxor f w)], [f] and [g] bijections on 32 bits; from seed 0 the
+   first block [w1] reaches [g (f w1)], and the second block is solved so
+   that [g (f w1) lxor f w2] is one constant. A key holding a space or
+   an [=] is skipped. *)
+let colliding_keys n =
+  let mask = 0xffff_ffff in
+  let mul a b = (a * b) land mask in
+  let rotl x r = ((x lsl r) lor (x lsr (32 - r))) land mask in
+  let inverse c =
+    (* Newton's iteration doubles the correct low bits: 3, 6, ..., 48. *)
+    let x = ref c in
+    for _ = 1 to 5 do
+      x := mul !x ((2 - mul c !x) land mask)
+    done;
+    !x
+  in
+  let c1 = 0xcc9e2d51 and c2 = 0x1b873593 in
+  let f w = mul (rotl (mul w c1) 15) c2 in
+  let f_inv d = mul (rotl (mul d (inverse c2)) 17) (inverse c1) in
+  let g h = (mul (rotl h 13) 5 + 0xe6546b64) land mask in
+  let block w =
+    String.init 4 (fun i -> Char.chr ((w lsr (8 * i)) land 0xff))
+  in
+  let rec go acc i count =
+    if count = n then List.rev acc
+    else
+      let w1 = ref 0 and r = ref i in
+      for byte = 0 to 3 do
+        w1 := !w1 lor ((Char.code 'a' + (!r mod 26)) lsl (8 * byte));
+        r := !r / 26
+      done;
+      let key = block !w1 ^ block (f_inv (g (f !w1) lxor 0x5eed)) in
+      if String.contains key ' ' || String.contains key '=' then
+        go acc (i + 1) count
+      else go (key :: acc) (i + 1) (count + 1)
+  in
+  go [] 0 0
+
+(* The same refusal when every junk key lands in one hash bucket, as a
+   hostile client can arrange against a table hashed with a fixed seed:
+   a hash-table dedupe is quadratic again there. *)
+let test_text_decoder_is_linear_under_collisions () =
+  let keys = colliding_keys 64_000 in
+  let h = Hashtbl.hash (List.hd keys) in
+  if not (List.for_all (fun k -> Hashtbl.hash k = h) keys) then
+    Alcotest.fail "keys do not share one Hashtbl.hash";
+  Alcotest.(check int)
+    "distinct keys" 64_000
+    (List.length (List.sort_uniq String.compare keys));
+  refused_in_time keys
 
 (* wire framing over a socketpair *)
 
@@ -477,7 +634,10 @@ let test_wire_round_trip () =
   List.iter
     (fun mode ->
       with_wire_pair ~mode (fun a b ->
-          let payloads = [ "ping"; "stats"; String.make 512 'x'; "" ] in
+          (* one frame larger than the 8 KiB read buffer *)
+          let payloads =
+            [ "ping"; "stats"; String.make 512 'x'; String.make 20_000 'y'; "" ]
+          in
           List.iter (fun p -> Wire.send a p) payloads;
           List.iter
             (fun p ->
@@ -527,6 +687,49 @@ let test_wire_closed_and_torn () =
       | Error (Wire.Torn _) -> ()
       | Error Wire.Closed -> Alcotest.fail "corruption diagnosed as EOF"
       | Ok p -> Alcotest.failf "accepted corrupted frame as %S" p)
+
+(* Damaged text frames, each refused as [Torn] with the message the
+   receiver gave when it checked a frame by rebuilding it: the in-place
+   check accepts exactly the bytes [Framed.frame] writes. *)
+let test_wire_rejects_damaged_text_frames () =
+  let payload = "ping" in
+  let frame = Robust.Durable.Framed.frame payload in
+  let n = String.length frame in
+  let hex = String.sub frame (n - 17) 16 in
+  let set i c = String.mapi (fun j x -> if j = i then c else x) frame in
+  let seven = Robust.Durable.Framed.frame "ping ok" in
+  Alcotest.(check bool) "the digest has a letter to upper-case" true
+    (String.exists (fun c -> c >= 'a' && c <= 'f') hex);
+  List.iter
+    (fun (what, bytes, expected) ->
+      with_socketpair (fun a b ->
+          let written = Unix.write_substring a bytes 0 (String.length bytes) in
+          Alcotest.(check int)
+            (what ^ ": written") (String.length bytes) written;
+          Unix.close a;
+          match Wire.recv (Wire.of_fd b) with
+          | Error (Wire.Torn why) ->
+              Alcotest.(check string) what expected why
+          | Error Wire.Closed -> Alcotest.failf "%s: diagnosed as EOF" what
+          | Ok p -> Alcotest.failf "%s: accepted as %S" what p))
+    [
+      ("leading-zero length", "0" ^ seven, "checksum mismatch");
+      ( "upper-case digest",
+        String.sub frame 0 (n - 17) ^ String.uppercase_ascii hex ^ "\n",
+        "checksum mismatch" );
+      ("wrong first separator", set 1 '_', "non-digit in length prefix");
+      ("wrong second separator", set (n - 18) '_', "checksum mismatch");
+      ("wrong terminator", set (n - 1) ' ', "checksum mismatch");
+      ( "missing terminator",
+        String.sub frame 0 (n - 1),
+        "eof inside frame body" );
+      ( "15-digit digest",
+        String.sub frame 0 (n - 2) ^ "\n" ^ frame,
+        "checksum mismatch" );
+      ( "15-digit digest at the end",
+        String.sub frame 0 (n - 2) ^ "\n",
+        "eof inside frame body" );
+    ]
 
 let test_wire_max_frame_is_per_connection () =
   (* Send side refuses to emit a frame beyond the connection's bound. *)
@@ -1338,6 +1541,69 @@ let test_handler_warm_hit_allocation () =
     Alcotest.failf "warm Handler.handle: %.0f minor words (bound 350)"
       per_query
 
+(* Allocation pins for a warm query through the daemon's whole path —
+   frame in, decode, answer, encode, frame out — per wire mode. Checking
+   a frame by rebuilding it, boxing the checksum per byte or splitting
+   text into tokens trips them (about 1390 words over text and 580 over
+   binary); on an OCaml 5 runtime every minor collection stops all
+   domains. *)
+let query_path_words ~mode ~spell ~decode ~encode =
+  with_socketpair (fun a b ->
+      let client = Wire.of_fd ~mode a and server = Wire.of_fd ~mode b in
+      let h = Handler.create ~cache:(Strategy.Cache.create ()) () in
+      let request = spell (Protocol.Query (query ())) in
+      let round () =
+        Wire.send client request;
+        let w0 = Gc.minor_words () in
+        (match Wire.recv server with
+        | Error e -> Alcotest.failf "recv: %s" (Wire.error_message e)
+        | Ok payload -> (
+            match decode payload with
+            | Error e -> Alcotest.failf "decode: %s" e
+            | Ok req -> Wire.send server (encode (Handler.handle h req))));
+        let words = Gc.minor_words () -. w0 in
+        (match Wire.recv client with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "reply: %s" (Wire.error_message e));
+        words
+      in
+      ignore (round () : float);
+      let n = 1000 and total = ref 0.0 in
+      for _ = 1 to n do
+        total := !total +. round ()
+      done;
+      !total /. float_of_int n)
+
+let test_query_path_allocation () =
+  let pin what bound words =
+    if words > bound then
+      Alcotest.failf "warm %s query path: %.0f minor words (bound %.0f)" what
+        words bound
+  in
+  pin "text" 700.0
+    (query_path_words ~mode:Wire.Text ~spell:Protocol.request_to_string
+       ~decode:Protocol.request_of_string ~encode:Protocol.response_to_string);
+  pin "binary" 320.0
+    (query_path_words ~mode:Wire.Binary ~spell:Protocol.request_to_binary
+       ~decode:Protocol.request_of_binary ~encode:Protocol.response_to_binary)
+
+(* The digest loop keeps its accumulator unboxed: only the result is
+   allocated, whatever the length. *)
+let test_fnv1a64_allocation () =
+  List.iter
+    (fun len ->
+      let s = String.make len 'q' and n = 100 in
+      ignore (Numerics.Checksum.fnv1a64 s : int64);
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Numerics.Checksum.fnv1a64 s) : int64)
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+      if per_call > 4.0 then
+        Alcotest.failf "fnv1a64 of %d bytes: %.1f minor words (bound 4)" len
+          per_call)
+    [ 0; 1; 118; 4096; 1 lsl 20 ]
+
 (* in-process daemon *)
 
 module Server = Serve.Server
@@ -1460,11 +1726,18 @@ let () =
             test_malformed_binary_requests;
           binary_text_spellings_agree;
           decoders_are_total;
+          text_decoder_matches_reference;
+          Alcotest.test_case "text decoder is linear in its fields" `Quick
+            test_text_decoder_is_linear;
+          Alcotest.test_case "text decoder is linear under colliding keys"
+            `Quick test_text_decoder_is_linear_under_collisions;
         ] );
       ( "wire",
         [
           Alcotest.test_case "round-trip" `Quick test_wire_round_trip;
           Alcotest.test_case "closed and torn" `Quick test_wire_closed_and_torn;
+          Alcotest.test_case "damaged text frames are torn" `Quick
+            test_wire_rejects_damaged_text_frames;
           Alcotest.test_case "max frame is per-connection" `Quick
             test_wire_max_frame_is_per_connection;
           Alcotest.test_case "hello negotiation" `Quick
@@ -1540,6 +1813,10 @@ let () =
             test_handler_batch_keeps_signed_zeros_apart;
           Alcotest.test_case "warm hit stays off the minor heap" `Quick
             test_handler_warm_hit_allocation;
+          Alcotest.test_case "warm query path allocation" `Quick
+            test_query_path_allocation;
+          Alcotest.test_case "fnv1a64 allocation" `Quick
+            test_fnv1a64_allocation;
         ] );
       ( "server",
         [
