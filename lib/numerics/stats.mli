@@ -38,26 +38,6 @@ val mean : float array -> float
 val variance : float array -> float
 val stddev : float array -> float
 
-module P2 : sig
-  (** P² streaming quantile estimator (Jain & Chlamtac, 1985). O(1)
-      memory per tracked quantile; exact for the first five samples,
-      piecewise-parabolic marker interpolation after. Accuracy is a few
-      parts per thousand on smooth distributions — use the exact
-      {!quantile} when the sample array is affordable. *)
-
-  type t
-
-  val create : q:float -> t
-  (** [create ~q] tracks the [q]-quantile, [0 <= q <= 1]. *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-
-  val value : t -> float
-  (** Current estimate; exact for five or fewer samples, [nan] when
-      empty. *)
-end
-
 val quantile : float array -> q:float -> float
 (** [quantile xs ~q] with [0 <= q <= 1], linear interpolation between
     order statistics (type-7). Does not modify [xs]. *)

@@ -66,7 +66,3 @@ let inject t ~key ~attempt =
             attempt))
   end;
   if should_hang t ~key ~attempt then t.hang ()
-
-let wrap t ~key f ~attempt =
-  inject t ~key ~attempt;
-  f ~attempt

@@ -52,7 +52,3 @@ val inject : t -> key:int -> attempt:int -> unit
 val injected_failures : t -> int
 (** How many times {!inject} actually raised so far (thread-safe
     counter) — lets tests assert that chaos really struck. *)
-
-val wrap : t -> key:int -> (attempt:int -> 'a) -> attempt:int -> 'a
-(** [wrap t ~key f] is [f] preceded by [inject t ~key]: convenient to
-    compose with {!Retry.run}. *)

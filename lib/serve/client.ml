@@ -44,20 +44,6 @@ let connect ~socket = Wire.of_fd (connect_fd ~socket)
 
 let close conn = try Unix.close (Wire.fd conn) with Unix.Unix_error _ -> ()
 
-let wait_ready ?(attempts = 100) ?(pause = 0.05) ~socket () =
-  let rec go n =
-    if n <= 0 then false
-    else
-      match connect ~socket with
-      | conn ->
-          close conn;
-          true
-      | exception Unix.Unix_error _ ->
-          Unix.sleepf pause;
-          go (n - 1)
-  in
-  go attempts
-
 let handshake ?max_frame conn ~binary =
   if (not binary) && max_frame = None then Ok true
   else

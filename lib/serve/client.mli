@@ -24,11 +24,6 @@ val connect : socket:string -> Wire.conn
 val close : Wire.conn -> unit
 (** Close the underlying socket, swallowing [Unix_error]. *)
 
-val wait_ready :
-  ?attempts:int -> ?pause:float -> socket:string -> unit -> bool
-(** Poll until a connection succeeds — for scripts that just launched
-    the daemon. Default: 100 attempts, 0.05 s apart. *)
-
 val handshake :
   ?max_frame:int -> Wire.conn -> binary:bool -> (bool, string) result
 (** Negotiate the connection's mode and frame bound with

@@ -79,10 +79,12 @@ val run :
     ([Invalid_argument] otherwise).
 
     [ckpt_sampler], when given, draws the {e actual} duration of each
-    checkpoint as it starts (stochastic-checkpoint extension); the policy
-    still plans with the nominal [params.c], completions shift
-    accordingly, and a checkpoint whose shifted completion exceeds the
-    horizon never completes. Plans are validated against the policy
+    checkpoint (stochastic-checkpoint extension): once per planned
+    segment the run enters, in plan order, and a segment re-attempted
+    after an ignored prediction keeps its draw. The policy still plans
+    with the nominal [params.c], completions shift accordingly, and a
+    checkpoint whose shifted completion exceeds the horizon never
+    completes. Plans are validated against the policy
     contract; a malformed plan raises [Invalid_argument].
 
     [platform], when given, replays its loss/rejoin events against the

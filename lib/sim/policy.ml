@@ -6,7 +6,7 @@ type t = {
     (tleft:float -> since_commit:float -> window:float -> bool) option;
 }
 
-let make ?adapt ?on_prediction ~name plan = { name; plan; adapt; on_prediction }
+let make ~name plan = { name; plan; adapt = None; on_prediction = None }
 
 let set_adapt p adapt = { p with adapt = Some adapt }
 

@@ -52,12 +52,9 @@ type t = {
           prediction is a true positive: policies have no oracle. *)
 }
 
-val make :
-  ?adapt:(Fault.Params.t -> t) ->
-  ?on_prediction:(tleft:float -> since_commit:float -> window:float -> bool) ->
-  name:string ->
-  (Plan.t -> tleft:float -> recovering:bool -> unit) ->
-  t
+val make : name:string -> (Plan.t -> tleft:float -> recovering:bool -> unit) -> t
+(** A static policy: no [adapt] and no [on_prediction] hook
+    ({!set_adapt} and {!set_on_prediction} add them). *)
 
 val set_adapt : t -> (Fault.Params.t -> t) -> t
 (** [set_adapt p f] is [p] re-planning through [f] on platform change —

@@ -6,8 +6,6 @@ type result = {
   traces : int;
   proportion : Numerics.Stats.summary;
       (** distribution of [work_saved / (horizon - c)] across traces *)
-  quantiles : float * float * float;
-      (** (p5, median, p95) of the proportion across traces *)
   mean_work : float;
   mean_failures : float;
   mean_checkpoints : float;
@@ -16,66 +14,24 @@ type result = {
   mean_predictions_false : float;  (** fired false alarms per trace *)
 }
 
-type quantile_mode =
-  | Exact  (** buffer samples, type-7 interpolation (golden default) *)
-  | Streaming  (** P² marker estimates, O(1) memory in the trace count *)
-
-type stream
-(** Online evaluation state: traces are folded in one at a time and
-    every aggregate (mean, CI, quantiles, work/failure/checkpoint
-    totals) is maintained incrementally. *)
-
-val stream_create :
-  ?ckpt_sampler:(unit -> float) ->
-  ?proactive_c:float ->
-  ?quantile_mode:quantile_mode ->
-  params:Fault.Params.t ->
-  horizon:float ->
-  policy:Policy.t ->
-  unit ->
-  stream
-(** [quantile_mode] defaults to [Exact], which reproduces the batch
-    results bit-for-bit; [Streaming] trades exactness of the three
-    quantiles for flat memory. [proactive_c] is the proactive-checkpoint
-    cost forwarded to {!Engine.run} (default [params.c]). *)
-
-val stream_feed :
-  ?platform:Engine.platform ->
-  ?predictions:Fault.Predictor.event list ->
-  stream ->
-  Fault.Trace.t ->
-  unit
-(** Run the policy on one trace and fold its outcome in. [platform]
-    replays that trace's malleable-platform events (see
-    {!Engine.platform}) — per-trace, because each trace of a batch draws
-    its own loss/rejoin history. [predictions] likewise replays that
-    trace's predicted-event stream (see {!Fault.Predictor}). *)
-
-val stream_count : stream -> int
-
-val stream_result : stream -> result
-(** Aggregate of everything fed so far. Raises [Invalid_argument] when
-    no trace has been fed. The stream remains usable: more traces can be
-    fed and a new result taken. *)
-
 val evaluate :
   ?ckpt_sampler:(unit -> float) ->
-  ?quantile_mode:quantile_mode ->
   ?platforms:Engine.platform array ->
   ?predictions:Fault.Predictor.event list array ->
-  ?proactive_c:float ->
   params:Fault.Params.t ->
   horizon:float ->
   policy:Policy.t ->
   Fault.Trace.t array ->
   result
-(** Runs the policy on every trace and aggregates — a fold of
-    {!stream_feed} over the array. Each trace is replayed from its
-    beginning, so passing the same array to several policies compares
-    them on identical failure scenarios. [platforms] and [predictions],
-    when given, must align with [traces]: entry [i] is trace [i]'s
-    event schedule / predicted stream, so policies are also compared on
-    identical platform histories and predictions (common random
-    numbers). *)
+(** Runs the policy on every trace and aggregates, in one pass: each
+    {!Engine.run} outcome is folded into a Welford accumulator and the
+    per-trace counters, and nothing else is kept. Each trace is
+    replayed from its beginning, so passing the same array to several
+    policies compares them on identical failure scenarios. [platforms]
+    and [predictions], when given, must align with [traces]: entry [i]
+    is trace [i]'s event schedule / predicted stream, so policies are
+    also compared on identical platform histories and predictions
+    (common random numbers). Raises [Invalid_argument] on an empty
+    trace array or a misaligned [platforms] / [predictions]. *)
 
 val pp_result : Format.formatter -> result -> unit

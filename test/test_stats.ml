@@ -126,52 +126,6 @@ let test_quantiles_one_sort () =
     (Invalid_argument "Stats.quantile: q outside [0, 1]") (fun () ->
       ignore (S.quantiles [| 1.0 |] ~qs:[| 0.5; -0.1 |]))
 
-let p2_of xs ~q =
-  let p = S.P2.create ~q in
-  Array.iter (S.P2.add p) xs;
-  p
-
-let test_p2_empty_and_small () =
-  let p = S.P2.create ~q:0.5 in
-  Alcotest.(check bool) "empty is nan" true (Float.is_nan (S.P2.value p));
-  (* Up to five samples the estimator is exact: it falls back to the
-     sorted buffer with the same type-7 interpolation as S.quantile. *)
-  let xs = [| 9.0; 1.0; 5.0; 3.0 |] in
-  Array.iter (S.P2.add p) xs;
-  Alcotest.(check int) "count" 4 (S.P2.count p);
-  close "small-sample median exact" (S.median xs) (S.P2.value p);
-  close "small-sample p95 exact" (S.quantile xs ~q:0.95)
-    (S.P2.value (p2_of xs ~q:0.95))
-
-let test_p2_uniform_accuracy () =
-  (* Deterministic LCG stream of uniforms on [0, 1]: the true quantile
-     of the distribution is q itself. *)
-  let state = ref 123456789L in
-  let next () =
-    state := Int64.(add (mul !state 6364136223846793005L) 1442695040888963407L);
-    Int64.(to_float (shift_right_logical !state 11)) /. 9007199254740992.0
-  in
-  let xs = Array.init 20_000 (fun _ -> next ()) in
-  List.iter
-    (fun q ->
-      let est = S.P2.value (p2_of xs ~q) in
-      let exact = S.quantile xs ~q in
-      close ~eps:0.01 (Printf.sprintf "p2 ~ exact at q=%g" q) exact est)
-    [ 0.05; 0.5; 0.95 ]
-
-let test_p2_tracks_extremes () =
-  let xs = Array.init 1000 (fun i -> float_of_int i) in
-  let p0 = p2_of xs ~q:0.0 and p1 = p2_of xs ~q:1.0 in
-  (* The centre marker at q=0 hugs the low order statistics but is not
-     pinned to the exact minimum. *)
-  close ~eps:5.0 "q=0 tracks min region" 0.0 (S.P2.value p0);
-  close ~eps:5.0 "q=1 tracks max region" 999.0 (S.P2.value p1)
-
-let test_p2_rejects_bad_q () =
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Stats.P2.create: q outside [0, 1]") (fun () ->
-      ignore (S.P2.create ~q:1.5))
-
 let qcheck_tests =
   let arr = QCheck.(array_of_size (Gen.int_range 2 200) (float_range (-100.0) 100.0)) in
   [
@@ -199,12 +153,6 @@ let qcheck_tests =
                    ]))
              (array_of_size (Gen.int_range 0 6) (float_range 0.0 1.0)))
          (fun (xs, qs) -> quantiles_agree xs (Array.append fold_qs qs)));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"p2 estimate within [min, max]" ~count:300 arr
-         (fun xs ->
-           let s = S.of_array xs in
-           let v = S.P2.value (p2_of xs ~q:0.5) in
-           v >= s.S.min -. 1e-9 && v <= s.S.max +. 1e-9));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"merge is commutative" ~count:300
          QCheck.(pair arr arr)
@@ -237,14 +185,6 @@ let () =
           Alcotest.test_case "quantile errors" `Quick test_quantile_errors;
           Alcotest.test_case "quantiles from one sort" `Quick
             test_quantiles_one_sort;
-        ] );
-      ( "p2",
-        [
-          Alcotest.test_case "empty and small samples" `Quick
-            test_p2_empty_and_small;
-          Alcotest.test_case "uniform accuracy" `Quick test_p2_uniform_accuracy;
-          Alcotest.test_case "tracks extremes" `Quick test_p2_tracks_extremes;
-          Alcotest.test_case "rejects bad q" `Quick test_p2_rejects_bad_q;
         ] );
       ("properties", qcheck_tests);
     ]
