@@ -9,40 +9,70 @@ let close ?(eps = 1e-9) = Alcotest.(check (float eps))
 
 let params = P.paper ~lambda:0.002 ~c:10.0 ~d:5.0
 
-let test_matches_k_indexed_dp () =
-  (* The headline: tracking the planned number of checkpoints (and
-     restricting re-planning to fewer) does not change the optimum. *)
-  List.iter
-    (fun (lambda, c, d, horizon) ->
-      let params = P.paper ~lambda ~c ~d in
-      let opt = O.build ~params ~quantum:1.0 ~horizon () in
-      let dp = Dp.build ~params ~quantum:1.0 ~horizon () in
-      for n = 1 to O.horizon_quanta opt do
-        let v = O.value_q opt ~n ~delta:false in
-        let e = Dp.best_expected_work_q dp ~n ~delta:false in
-        if abs_float (v -. e) > 1e-9 then
-          Alcotest.failf "λ=%g C=%g D=%g n=%d: unrestricted %g vs DP %g" lambda
-            c d n v e
-      done)
-    [
-      (0.002, 10.0, 5.0, 300.0);
-      (0.01, 5.0, 0.0, 150.0);
-      (0.05, 4.0, 2.0, 60.0);
-      (0.001, 20.0, 0.0, 400.0);
-    ]
+(* The headline: tracking the planned number of checkpoints (and
+   restricting re-planning to fewer) does not change the optimum, to the
+   last bit. Every (params, quantum, horizon) table a figure's DP-backed
+   strategy builds — each sub-plot's warm-up point, at the registry's
+   suggested kmax — must give [Dp.best_expected_work_q] and
+   [Optimal.value_q] equal bits at both δ and every n, and the same
+   failure-free plan from [Dp.best_k]. *)
+let figure_configs ids =
+  let module St = Experiments.Strategy in
+  List.concat_map
+    (fun id ->
+      match Experiments.Figures.find id with
+      | None -> Alcotest.failf "figure %s missing" id
+      | Some spec ->
+          List.concat_map
+            (fun (wp : St.warm_point) ->
+              List.concat_map
+                (fun s ->
+                  List.filter_map
+                    (function
+                      | St.Cache.Dp { quantum } | St.Cache.Optimal { quantum }
+                        ->
+                          Some (wp.St.wp_params, quantum, wp.St.wp_horizon)
+                      | _ -> None)
+                    (St.requires ~dist:wp.St.wp_dist s))
+                wp.St.wp_strategies)
+            (St.warm_points_of_spec spec))
+    ids
+  |> List.sort_uniq compare
 
-let test_never_below_dp () =
-  (* Even with recovery starts (where the restriction could in principle
-     bind), the unrestricted value dominates. *)
-  let horizon = 400.0 in
-  let opt = O.build ~params ~quantum:1.0 ~horizon () in
-  let dp = Dp.build ~params ~quantum:1.0 ~horizon () in
-  for n = 1 to 400 do
-    let v = O.value_q opt ~n ~delta:true in
-    let e = Dp.best_expected_work_q dp ~n ~delta:true in
-    if v < e -. 1e-9 then
-      Alcotest.failf "n=%d: unrestricted %g below restricted %g" n v e
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_same_bits (params, quantum, horizon) =
+  let kmax = Dp.suggested_kmax ~params ~horizon in
+  let dp = Dp.build ~kmax ~params ~quantum ~horizon () in
+  let opt = O.build ~params ~quantum ~horizon () in
+  let where n delta =
+    Printf.sprintf "%s u=%g T=%g n=%d delta=%b" (P.to_string params) quantum
+      horizon n delta
+  in
+  for n = 0 to O.horizon_quanta opt do
+    List.iter
+      (fun delta ->
+        let v = O.value_q opt ~n ~delta in
+        let e = Dp.best_expected_work_q dp ~n ~delta in
+        if not (same_bits v e) then
+          Alcotest.failf "%s: k-free %h vs k-indexed %h" (where n delta) v e;
+        let k = Dp.best_k dp ~n ~delta in
+        let want = if k = 0 then [] else Dp.plan_q dp ~n ~k ~delta in
+        if O.plan_q opt ~n ~delta <> want then
+          Alcotest.failf "%s: plans differ (best k = %d)" (where n delta) k)
+      [ false; true ]
   done
+
+let quick_figures = [ "fig2"; "fig3"; "fig6" ]
+
+let test_same_bits_quick () =
+  List.iter check_same_bits (figure_configs quick_figures)
+
+let test_same_bits_rest () =
+  let quick = figure_configs quick_figures in
+  List.iter
+    (fun config -> if not (List.mem config quick) then check_same_bits config)
+    (figure_configs Experiments.Figures.ids)
 
 let test_value_policy_consistency () =
   let horizon = 350.0 in
@@ -125,10 +155,10 @@ let () =
     [
       ( "vs the paper's DP",
         [
-          Alcotest.test_case "k-tracking is not restrictive" `Slow
-            test_matches_k_indexed_dp;
-          Alcotest.test_case "dominates with recovery starts" `Quick
-            test_never_below_dp;
+          Alcotest.test_case "k-tracking is not restrictive" `Quick
+            test_same_bits_quick;
+          Alcotest.test_case "k-tracking, other figures" `Slow
+            test_same_bits_rest;
         ] );
       ( "consistency",
         [
