@@ -1,8 +1,10 @@
 (* CI performance gates.
 
    Two gate groups, one per CI step:
-   - [eval]: the DP table build of the fig2 C sweep (cells/s) and the
-     fig2 evaluation sweep through [Runner.run] (grid points/s);
+   - [eval]: the DP table builds of the fig2 C sweep (cells/s), the
+     k-indexed Section 6 table serve answers from and the k-free table
+     the figures compile from, and the fig2 evaluation sweep through
+     [Runner.run] (grid points/s);
    - [serve]: the policy daemon's request handler, cold against warm,
      then four socket modes against one live in-process daemon
      (warm queries/s each).
@@ -66,27 +68,43 @@ let time f =
 (* eval: DP table build and evaluation sweep                            *)
 
 (* The five DP tables of the fig2 C sweep (lambda = 0.001, D = 0,
-   T = 2000, unit quantum, suggested_kmax cap), built serially. *)
-let dp_round () =
+   T = 2000, unit quantum), built serially; [build] returns a table's
+   cell count. *)
+let fig2_tables ~mode ~workload build =
   let horizon = 2000.0 and quantum = 1.0 in
   Gc.compact ();
   let cells, elapsed =
     time (fun () ->
         List.fold_left
           (fun acc c ->
-            let params = Fault.Params.paper ~lambda:0.001 ~c ~d:0.0 in
-            let dp =
-              Core.Dp.build
-                ~kmax:(Core.Dp.suggested_kmax ~params ~horizon)
-                ~params ~quantum ~horizon ()
-            in
-            acc + (2 * Core.Dp.kmax dp * Core.Dp.horizon_quanta dp))
+            acc
+            + build ~params:(Fault.Params.paper ~lambda:0.001 ~c ~d:0.0)
+                ~quantum ~horizon)
           0
           [ 10.0; 20.0; 40.0; 80.0; 160.0 ])
   in
-  sample ~metric:"cells_per_sec" ~mode:"dp"
-    ~workload:"fig2 C sweep, T=2000, u=1, suggested_kmax"
+  sample ~metric:"cells_per_sec" ~mode ~workload
     (float_of_int cells /. elapsed)
+
+(* The k-indexed Section 6 table at the suggested_kmax cap: a cell is
+   one (n, k, delta) state. *)
+let dp_round () =
+  fig2_tables ~mode:"dp" ~workload:"fig2 C sweep, T=2000, u=1, suggested_kmax"
+    (fun ~params ~quantum ~horizon ->
+      let dp =
+        Core.Dp.build
+          ~kmax:(Core.Dp.suggested_kmax ~params ~horizon)
+          ~params ~quantum ~horizon ()
+      in
+      2 * Core.Dp.kmax dp * Core.Dp.horizon_quanta dp)
+
+(* The k-free table (Core.Optimal): a cell is one (n, delta) state, so
+   its cells/s is never comparable with the dp mode's. *)
+let optimal_round () =
+  fig2_tables ~mode:"optimal" ~workload:"fig2 C sweep, T=2000, u=1, k-free"
+    (fun ~params ~quantum ~horizon ->
+      2 * Core.Optimal.horizon_quanta
+            (Core.Optimal.build ~params ~quantum ~horizon ()))
 
 (* fig2 at a fixed reduced scale through the registry, table cache and
    streaming evaluator, with a fresh cache so every round pays its
@@ -477,7 +495,8 @@ let run group out baselines =
     | `Eval ->
         run_rounds (fun () ->
             let dp = dp_round () in
-            [ dp; eval_round () ])
+            let optimal = optimal_round () in
+            [ dp; optimal; eval_round () ])
     | `Serve -> serve_gates ()
   in
   Option.iter
@@ -494,7 +513,7 @@ let () =
   let group =
     let groups = [ ("eval", `Eval); ("serve", `Serve) ] in
     Arg.(required & pos 0 (some (enum groups)) None & info [] ~docv:"GROUP"
-           ~doc:"$(b,eval) (DP table build, evaluation sweep) or $(b,serve) \
+           ~doc:"$(b,eval) (DP table builds, evaluation sweep) or $(b,serve) \
                  (request handler, socket modes).")
   in
   let out =

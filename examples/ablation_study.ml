@@ -36,7 +36,7 @@ let () =
       ("FirstOrder", Core.Policies.first_order ~params ~horizon);
       ("NumericalOptimum", Core.Policies.numerical_optimum ~params ~horizon);
       ("VariableSegments",
-       Core.Plan_opt.variable_segments_policy ~params ~horizon ~dp:dp_tables);
+       Core.Plan_opt.variable_segments_policy ~params ~horizon ~opt:opt_tables);
       ("DynamicProgramming", Core.Dp.policy dp_tables);
       ("OptimalUnrestricted", Core.Optimal.policy opt_tables);
     ]

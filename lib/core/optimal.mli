@@ -12,10 +12,15 @@
     The paper's Section 6 formulation tracks, in addition, the number
     [k] of checkpoints the strategy committed to — and restricts
     re-planning after a failure to at most that many. Since fewer quanta
-    never call for more checkpoints, the restriction should not bind:
-    this module provides the unrestricted optimum, and the test suite
-    verifies that {!Dp} matches it (a nontrivial validation of both
-    implementations, and of the paper's formulation). *)
+    never call for more checkpoints, the restriction does not bind: on
+    every table a figure's DP-backed strategy builds, the test suite
+    checks that {!Dp.best_expected_work_q} and {!value_q} have equal
+    bits at both δ and every [n], and that {!Dp.plan_q} at
+    {!Dp.best_k} equals {!plan_q} (a validation of both implementations
+    and of the paper's formulation). So this table, at O(T*²) rather
+    than O(T*²·kmax), is what the figures compile their DP strategies
+    from; {!Dp} remains for callers that cap [k] (the serve daemon's
+    [kleft]). *)
 
 type t
 
@@ -35,8 +40,8 @@ val plan_q : t -> n:int -> delta:bool -> int list
     tables; empty when nothing can be saved. *)
 
 val policy : t -> Sim.Policy.t
-(** Executable policy; unlike {!Dp.policy} it needs no cross-call state
-    (re-planning is by time left only). *)
+(** Executable policy, named "OptimalUnrestricted"; unlike {!Dp.policy}
+    it needs no cross-call state (re-planning is by time left only). *)
 
 val quantum : t -> float
 val horizon_quanta : t -> int

@@ -122,14 +122,16 @@ let optimize ?(restarts = 3) ~params ~tleft ~recovering ~k ~continuation () =
               converged = r.converged }
           end)
 
-let variable_segments_policy ~params ~horizon ~dp =
+let variable_segments_policy ~params ~horizon ~opt =
   let table = Threshold.table_numerical ~params ~up_to:horizon in
-  let u = Dp.quantum dp in
+  let u = Optimal.quantum opt in
   let continuation tleft' =
     if tleft' <= 0.0 then 0.0
     else begin
-      let n = min (Dp.horizon_quanta dp) (int_of_float (floor (tleft' /. u))) in
-      if n < 1 then 0.0 else Dp.best_expected_work_q dp ~n ~delta:true
+      let n =
+        min (Optimal.horizon_quanta opt) (int_of_float (floor (tleft' /. u)))
+      in
+      if n < 1 then 0.0 else Optimal.value_q opt ~n ~delta:true
     end
   in
   (* Memoise per (quantised tleft, recovering): simulations query the

@@ -53,9 +53,9 @@ val optimize :
     warnings rather than raised. *)
 
 val variable_segments_policy :
-  params:Fault.Params.t -> horizon:float -> dp:Dp.t -> Sim.Policy.t
+  params:Fault.Params.t -> horizon:float -> opt:Optimal.t -> Sim.Policy.t
 (** "VariableSegments": checkpoint count from the numerical thresholds
-    (Section 5), positions optimised continuously with the DP value
-    tables as continuation. Sits between NumericalOptimum and the
-    quantised optimum. Plans are cached per quantised [tleft], so
-    repeated simulation replays stay cheap. *)
+    (Section 5), positions optimised continuously with the DP values
+    [Optimal.value_q ~delta:true] as continuation. Sits between
+    NumericalOptimum and the quantised optimum. Plans are cached per
+    quantised [tleft], so repeated simulation replays stay cheap. *)

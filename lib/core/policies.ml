@@ -34,8 +34,9 @@ let numerical_optimum ~params ~horizon =
   of_threshold_table ~name:"NumericalOptimum" ~params
     (Threshold.table_numerical ~params ~up_to:horizon)
 
-let dynamic_programming ?kmax ~params ~quantum ~horizon () =
-  Dp.policy (Dp.build ?kmax ~params ~quantum ~horizon ())
+let dynamic_programming ~params ~quantum ~horizon =
+  rename "DynamicProgramming"
+    (Optimal.policy (Optimal.build ~params ~quantum ~horizon ()))
 
 let single_final ~params = Sim.Policy.single_final ~params
 
@@ -44,6 +45,5 @@ let all_paper ~params ~quantum ~horizon =
     young_daly ~params;
     first_order ~params ~horizon;
     numerical_optimum ~params ~horizon;
-    dynamic_programming ~params ~quantum ~horizon
-      ~kmax:(Dp.suggested_kmax ~params ~horizon) ();
+    dynamic_programming ~params ~quantum ~horizon;
   ]

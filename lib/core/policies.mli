@@ -34,11 +34,13 @@ val of_threshold_table : name:string -> params:Fault.Params.t ->
     table across reservation lengths). *)
 
 val dynamic_programming :
-  ?kmax:int -> params:Fault.Params.t -> quantum:float -> horizon:float ->
-  unit -> Sim.Policy.t
-(** Builds the DP tables and returns the optimal strategy
-    ({!Dp.build} + {!Dp.policy}). For sweeps, build the tables once and
-    call {!Dp.policy} per evaluation instead. *)
+  params:Fault.Params.t -> quantum:float -> horizon:float -> Sim.Policy.t
+(** Builds the k-free DP table and returns the optimal strategy
+    ({!Optimal.build} + {!Optimal.policy}, named "DynamicProgramming").
+    Its values and plans equal the Section 6 table's ({!Dp}) bit for bit
+    on the paper's grids, at O(T*²) rather than O(T*²·kmax). For sweeps,
+    build the table once and call {!Optimal.policy} per evaluation
+    instead. *)
 
 val single_final : params:Fault.Params.t -> Sim.Policy.t
 (** Re-export of {!Sim.Policy.single_final} (Strat1 of Section 4). *)

@@ -7,9 +7,10 @@
     differ from the simulated ones only by the failure-date quantisation
     (vanishing with the quantum).
 
-    The dynamic-programming strategy is represented by {!Core.Optimal}
-    (stateless, provably equal values), since the stateful re-planning
-    of {!Core.Dp.policy} has no meaning outside a simulation. *)
+    The dynamic-programming strategy is evaluated through
+    {!Core.Optimal}, the same k-free table the simulated figures compile
+    it from (stateless; values and plans equal to {!Core.Dp}'s bit for
+    bit on the figures' tables). *)
 
 type curve = {
   c : float;

@@ -1,3 +1,4 @@
+(* YoungDaly, FirstOrder, NumericalOptimum, DynamicProgramming (u=1). *)
 let paper_strategies =
   Spec.
     [
@@ -7,6 +8,8 @@ let paper_strategies =
       Dynamic_programming { quantum = 1.0 };
     ]
 
+(* DP at u in {0.5, 1, 2, 5, 10} plus the paper strategies for
+   reference, as in Figures 4, 5 and 12. *)
 let quantum_strategies =
   Spec.
     [

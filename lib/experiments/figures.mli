@@ -4,13 +4,6 @@
     traces, all reservation lengths up to 2000); {!scale} shrinks them
     uniformly for quick runs. *)
 
-val paper_strategies : Spec.strategy list
-(** YoungDaly, FirstOrder, NumericalOptimum, DynamicProgramming (u=1). *)
-
-val quantum_strategies : Spec.strategy list
-(** DP at u ∈ {0.5, 1, 2, 5, 10} plus the paper strategies for
-    reference, as in Figures 4, 5 and 12. *)
-
 val all : Spec.t list
 (** fig2 … fig12 (fig7 is fig2's duplicate in the appendix and is listed
     once under both ids), plus the robustness extensions ext-weibull,

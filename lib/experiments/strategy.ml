@@ -263,9 +263,8 @@ module Cache = struct
   let find t key =
     locked t (fun () -> Option.map (fun slot -> slot.table) (lookup t key))
 
-  (* The build calls replicate what the pre-registry runner did per
-     C block, so the tables — and therefore the figures — are
-     bit-identical. In particular the DP keeps its suggested_kmax cap. *)
+  (* The k-indexed table keeps the suggested_kmax cap serve's answers
+     and drills were pinned with; the k-free one needs no cap. *)
   let build { params; horizon; kind } =
     match kind with
     | Threshold_numerical ->
@@ -313,25 +312,18 @@ let find_threshold cache ~params ~horizon kind =
   | Some (Cache.T_threshold t) -> Ok t
   | _ -> missing kind ~params ~horizon
 
-let find_dp cache ~params ~horizon kind =
-  match Cache.find cache (Cache.key ~params ~horizon kind) with
-  | Some (Cache.T_dp t) -> Ok t
-  | _ -> missing kind ~params ~horizon
-
-let find_optimal cache ~params ~horizon kind =
-  match Cache.find cache (Cache.key ~params ~horizon kind) with
-  | Some (Cache.T_optimal t) -> Ok t
-  | _ -> missing kind ~params ~horizon
-
 let find_renewal cache ~params ~horizon kind =
   match Cache.find cache (Cache.key ~params ~horizon kind) with
   | Some (Cache.T_renewal t) -> Ok t
   | _ -> missing kind ~params ~horizon
 
-(* Raw DP table lookup for callers that answer table queries directly
-   (the serve daemon) instead of compiling a policy. *)
+(* Raw k-indexed table lookup for callers that answer table queries
+   directly (the serve daemon) instead of compiling a policy. *)
 let dp_table cache ~params ~horizon ~quantum =
-  find_dp cache ~params ~horizon (Cache.Dp { quantum })
+  let kind = Cache.Dp { quantum } in
+  match Cache.find cache (Cache.key ~params ~horizon kind) with
+  | Some (Cache.T_dp t) -> Ok t
+  | _ -> missing kind ~params ~horizon
 
 type entry = {
   cli : string;
@@ -412,6 +404,36 @@ let rec quantum_of = function
   | Spec.Adaptive s -> quantum_of s
   | _ -> 1.0
 
+(* The k-free table every DP-backed entry compiles from: one key per
+   quantum, u = 1 for the entries that take none. *)
+let optimal_requires ~dist:_ s = [ Cache.Optimal { quantum = quantum_of s } ]
+
+let find_optimal cache ~params ~horizon s =
+  let kind = Cache.Optimal { quantum = quantum_of s } in
+  match Cache.find cache (Cache.key ~params ~horizon kind) with
+  | Some (Cache.T_optimal t) -> Ok t
+  | _ -> missing kind ~params ~horizon
+
+(* Entries whose [:ARG] is an optional quantum, default 1. *)
+let quantum_entry ~cli ~doc ~make ~owns ~requires ~compile =
+  {
+    cli;
+    doc;
+    arg_docv = Some "U";
+    example = make 1.0;
+    parse =
+      (fun ~arg ->
+        let* quantum = parse_quantum ~cli ~arg in
+        Ok (make (Option.value quantum ~default:1.0)));
+    print_arg =
+      (fun s ->
+        let q = quantum_of s in
+        if Float.equal q 1.0 then None else Some (render_float q));
+    owns;
+    requires;
+    compile;
+  }
+
 let base_entries =
   [
     simple ~cli:"young-daly" ~strategy:Spec.Young_daly
@@ -454,33 +476,20 @@ let base_entries =
             (Core.Policies.of_threshold_table ~name:"NumericalOptimum" ~params
                table));
     };
-    {
-      cli = "dp";
-      doc = "the Section 6 dynamic program over time quanta (optimal)";
-      arg_docv = Some "U";
-      example = Spec.Dynamic_programming { quantum = 1.0 };
-      parse =
-        (fun ~arg ->
-          let* quantum = parse_quantum ~cli:"dp" ~arg in
-          Ok
-            (Spec.Dynamic_programming
-               { quantum = Option.value quantum ~default:1.0 }));
-      print_arg =
-        (fun s ->
-          let q = quantum_of s in
-          if Float.equal q 1.0 then None else Some (render_float q));
-      owns = (function Spec.Dynamic_programming _ -> true | _ -> false);
-      requires =
-        (fun ~dist:_ s -> [ Cache.Dp { quantum = quantum_of s } ]);
-      compile =
-        (fun cache ~params ~horizon ~dist:_ s ->
-          let* dp =
-            find_dp cache ~params ~horizon (Cache.Dp { quantum = quantum_of s })
-          in
-          (* Stateful across one reservation: a fresh policy per compile
-             (tables are shared, the closure is cheap). *)
-          Ok (Core.Dp.policy dp));
-    };
+    quantum_entry ~cli:"dp"
+      ~doc:"the Section 6 dynamic program over time quanta (optimal)"
+      ~make:(fun quantum -> Spec.Dynamic_programming { quantum })
+      ~owns:(function Spec.Dynamic_programming _ -> true | _ -> false)
+      ~requires:optimal_requires
+      ~compile:(fun cache ~params ~horizon ~dist:_ s ->
+        (* The k-free table gives the Section 6 values and plans bit for
+           bit on every figure (test_optimal), without the k index. *)
+        let* opt = find_optimal cache ~params ~horizon s in
+        Ok
+          {
+            (Core.Optimal.policy opt) with
+            Sim.Policy.name = "DynamicProgramming";
+          });
     simple ~cli:"single-final" ~strategy:Spec.Single_final
       ~doc:"one checkpoint at the very end of the reservation (Strat1)"
       ~policy:(fun ~params -> Core.Policies.single_final ~params);
@@ -505,68 +514,34 @@ let base_entries =
       parse = no_arg ~cli:"variable-segments" Spec.Variable_segments;
       print_arg = (fun _ -> None);
       owns = (fun s -> s = Spec.Variable_segments);
-      requires =
-        (* The u = 1 DP value tables serve as the continuation function. *)
-        (fun ~dist:_ _ -> [ Cache.Dp { quantum = 1.0 } ]);
-      compile =
-        (fun cache ~params ~horizon ~dist:_ _ ->
-          let* dp =
-            find_dp cache ~params ~horizon (Cache.Dp { quantum = 1.0 })
-          in
-          Ok (Core.Plan_opt.variable_segments_policy ~params ~horizon ~dp));
-    };
-    {
-      cli = "optimal";
-      doc = "the k-free quantised optimum of Core.Optimal (ablation)";
-      arg_docv = Some "U";
-      example = Spec.Optimal_unrestricted { quantum = 1.0 };
-      parse =
-        (fun ~arg ->
-          let* quantum = parse_quantum ~cli:"optimal" ~arg in
-          Ok
-            (Spec.Optimal_unrestricted
-               { quantum = Option.value quantum ~default:1.0 }));
-      print_arg =
-        (fun s ->
-          let q = quantum_of s in
-          if Float.equal q 1.0 then None else Some (render_float q));
-      owns = (function Spec.Optimal_unrestricted _ -> true | _ -> false);
-      requires =
-        (fun ~dist:_ s -> [ Cache.Optimal { quantum = quantum_of s } ]);
+      (* The u = 1 DP values serve as the continuation function. *)
+      requires = optimal_requires;
       compile =
         (fun cache ~params ~horizon ~dist:_ s ->
-          let* opt =
-            find_optimal cache ~params ~horizon
-              (Cache.Optimal { quantum = quantum_of s })
-          in
-          Ok (Core.Optimal.policy opt));
+          let* opt = find_optimal cache ~params ~horizon s in
+          Ok (Core.Plan_opt.variable_segments_policy ~params ~horizon ~opt));
     };
-    {
-      cli = "renewal-dp";
-      doc =
+    quantum_entry ~cli:"optimal"
+      ~doc:"the k-free quantised optimum of Core.Optimal (ablation)"
+      ~make:(fun quantum -> Spec.Optimal_unrestricted { quantum })
+      ~owns:(function Spec.Optimal_unrestricted _ -> true | _ -> false)
+      ~requires:optimal_requires
+      ~compile:(fun cache ~params ~horizon ~dist:_ s ->
+        Result.map Core.Optimal.policy (find_optimal cache ~params ~horizon s));
+    quantum_entry ~cli:"renewal-dp"
+      ~doc:
         "renewal-aware DP built for the spec's IAT distribution \
-         (non-memoryless-aware optimum, extension)";
-      arg_docv = Some "U";
-      example = Spec.Renewal_dp { quantum = 1.0 };
-      parse =
-        (fun ~arg ->
-          let* quantum = parse_quantum ~cli:"renewal-dp" ~arg in
-          Ok (Spec.Renewal_dp { quantum = Option.value quantum ~default:1.0 }));
-      print_arg =
-        (fun s ->
-          let q = quantum_of s in
-          if Float.equal q 1.0 then None else Some (render_float q));
-      owns = (function Spec.Renewal_dp _ -> true | _ -> false);
-      requires =
-        (fun ~dist s -> [ Cache.Renewal { quantum = quantum_of s; dist } ]);
-      compile =
-        (fun cache ~params ~horizon ~dist s ->
-          let* renewal =
-            find_renewal cache ~params ~horizon
-              (Cache.Renewal { quantum = quantum_of s; dist })
-          in
-          Ok (Core.Dp_renewal.policy renewal));
-    };
+         (non-memoryless-aware optimum, extension)"
+      ~make:(fun quantum -> Spec.Renewal_dp { quantum })
+      ~owns:(function Spec.Renewal_dp _ -> true | _ -> false)
+      ~requires:(fun ~dist s ->
+        [ Cache.Renewal { quantum = quantum_of s; dist } ])
+      ~compile:(fun cache ~params ~horizon ~dist s ->
+        let* renewal =
+          find_renewal cache ~params ~horizon
+            (Cache.Renewal { quantum = quantum_of s; dist })
+        in
+        Ok (Core.Dp_renewal.policy renewal));
     simple ~cli:"restart" ~strategy:Spec.Restart
       ~doc:
         "pure restart baseline: no intermediate checkpoints, a failure \
@@ -650,18 +625,15 @@ let base_entries =
             if Float.equal w 60.0 then None else Some (render_float w)
         | _ -> None);
       owns = (function Spec.Proactive_window _ -> true | _ -> false);
-      requires =
-        (* Rides on the u = 1 DP value tables, shared with dp/adaptive-dp
-           through the campaign cache. *)
-        (fun ~dist:_ _ -> [ Cache.Dp { quantum = 1.0 } ]);
+      (* Rides on the u = 1 DP table, shared with dp/adaptive-dp
+         through the campaign cache. *)
+      requires = optimal_requires;
       compile =
         (fun cache ~params ~horizon ~dist:_ s ->
           match s with
           | Spec.Proactive_window { w } ->
-              let* dp =
-                find_dp cache ~params ~horizon (Cache.Dp { quantum = 1.0 })
-              in
-              let policy = Core.Dp.policy dp in
+              let* opt = find_optimal cache ~params ~horizon s in
+              let policy = Core.Optimal.policy opt in
               let policy =
                 { policy with Sim.Policy.name = Spec.strategy_name s }
               in
@@ -864,6 +836,11 @@ let keys_of ~params ~horizon ~dist strategies =
 
 let ensure ?pool cache ~params ~horizon ~dist strategies =
   ensure_keys ?pool cache (keys_of ~params ~horizon ~dist strategies)
+
+let ensure_dp_table cache ~params ~horizon ~quantum =
+  let key = Cache.key ~params ~horizon (Cache.Dp { quantum }) in
+  ensure_keys cache [ key ];
+  dp_table cache ~params ~horizon ~quantum
 
 type warm_point = {
   wp_params : Fault.Params.t;

@@ -9,10 +9,11 @@
     campaign driver, the CLI and the docs all read this list.
 
     Compilation is backed by a campaign-wide {!Cache} of the expensive
-    numerical tables ({!Core.Threshold}, {!Core.Dp}, {!Core.Optimal},
-    {!Core.Dp_renewal}), keyed bit-exactly by [(params, horizon, kind)]
-    so each table is built at most once per campaign no matter how many
-    sub-plots, figures or strategies request it. *)
+    numerical tables ({!Core.Threshold}, {!Core.Optimal},
+    {!Core.Dp_renewal}, and serve's {!Core.Dp}), keyed bit-exactly by
+    [(params, horizon, kind)] so each table is built at most once per
+    campaign no matter how many sub-plots, figures or strategies request
+    it. *)
 
 module Cache : sig
   type t
@@ -37,26 +38,33 @@ module Cache : sig
       lone table larger than the byte bound stays resident and
       answerable.
 
-      DP lookups are range queries over the key's horizon component: a
-      resident build for the same platform and quantum at horizon T
-      answers any lookup at T' <= T through a zero-copy prefix view
-      ({!Core.Dp.prefix_view}), materialised once and cached under the
-      exact key it answers. A view counts as a {e hit}, never a build,
-      and its slot charges only the recomputed best-k row — the shared
-      table buffers stay charged to the parent build, so a horizon
-      sweep costs one table's bytes, not the grid's. *)
+      The figures' strategies use the threshold, [Optimal] and
+      [Renewal] kinds; serve uses [Dp]. Lookups of [Dp] keys, and only
+      those, are range queries over the key's horizon component (a
+      figure sweep compiles at its block's longest horizon and needs
+      none): a resident build for the same platform and quantum at
+      horizon T answers any lookup at T' <= T through a zero-copy
+      prefix view ({!Core.Dp.prefix_view}), materialised once and
+      cached under the exact key it answers. A view counts as a
+      {e hit}, never a build, and its slot charges only the recomputed
+      best-k row — the shared table buffers stay charged to the parent
+      build, so a horizon sweep costs one table's bytes, not the
+      grid's. *)
 
   type kind =
     | Threshold_numerical
     | Threshold_first_order
     | Dp of { quantum : float }
+        (** The k-indexed Section 6 table, built by serve's
+            {!ensure_dp_table} only. *)
     | Optimal of { quantum : float }
+        (** The k-free table all five DP-backed strategies compile
+            from: [dp], [adaptive-dp], [proactive-window],
+            [variable-segments] and [optimal]. *)
     | Renewal of { quantum : float; dist : Fault.Trace.dist }
         (** The renewal table depends on the IAT distribution, not just
             on [params] — two specs with the same grid but different
             failure laws must not share it. *)
-
-  val pp_kind : Format.formatter -> kind -> unit
 
   type key
   (** One table's identity: platform, horizon and kind. *)
@@ -219,17 +227,27 @@ val warm_up_specs : ?pool:Parallel.Pool.t -> Cache.t -> Spec.t list -> int
 (** [warm_up] over the concatenated {!warm_points_of_spec} of a
     campaign's specs. *)
 
+val ensure_dp_table :
+  Cache.t ->
+  params:Fault.Params.t ->
+  horizon:float ->
+  quantum:float ->
+  (Core.Dp.t, error) result
+(** The k-indexed Section 6 table at [(params, horizon, quantum)],
+    built on a miss: serve's path to its next-checkpoint answers. The
+    lookup counts exactly as an {!ensure} of one [Cache.Dp] key
+    does — a hit when the table or a longer-horizon parent is resident,
+    else a build. *)
+
 val dp_table :
   Cache.t ->
   params:Fault.Params.t ->
   horizon:float ->
   quantum:float ->
   (Core.Dp.t, error) result
-(** The raw Section 6 DP table at [(params, horizon, quantum)], for
-    callers that answer table queries directly (the serve daemon's
-    next-checkpoint lookups) instead of compiling a simulation policy.
-    Same contract as {!val-compile}: read-only, the table must have been
-    built by {!ensure} first. *)
+(** {!ensure_dp_table} without the build and without counting a hit:
+    read-only, the table must have been built by {!ensure_dp_table}
+    first. *)
 
 val compile :
   Cache.t ->
@@ -240,8 +258,8 @@ val compile :
   (Sim.Policy.t, error) result
 (** Compile a strategy against the cache. Cheap (table lookups plus
     policy closure allocation) and read-only, but note that some
-    policies — the Section 6 DP — are stateful across one simulated
-    reservation: compile a fresh policy per concurrent evaluation.
+    policies — VariableSegments' plan memo — keep state across calls:
+    compile a fresh policy per concurrent evaluation.
 
     {!Spec.Adaptive} strategies compile to the wrapped policy with an
     online re-plan hook: on every platform change the engine hands the

@@ -56,20 +56,11 @@ let answer dp q =
           work = Core.Dp.expected_work_q dp ~n ~k ~delta;
         }
 
-(* One cache round trip: build on miss, then look the table up. *)
+(* One cache round trip: the k-indexed table, built on a miss. *)
 let fetch_table t q =
-  let dist =
-    Fault.Trace.Exponential { rate = q.Protocol.params.Fault.Params.lambda }
-  in
-  Experiments.Strategy.ensure t.cache ~params:q.Protocol.params
-    ~horizon:q.Protocol.horizon ~dist
-    [ Experiments.Spec.Dynamic_programming { quantum = q.Protocol.quantum } ];
-  match
-    Experiments.Strategy.dp_table t.cache ~params:q.Protocol.params
-      ~horizon:q.Protocol.horizon ~quantum:q.Protocol.quantum
-  with
-  | Error e -> Error (Experiments.Strategy.error_message e)
-  | Ok dp -> Ok dp
+  Result.map_error Experiments.Strategy.error_message
+    (Experiments.Strategy.ensure_dp_table t.cache ~params:q.Protocol.params
+       ~horizon:q.Protocol.horizon ~quantum:q.Protocol.quantum)
 
 (* Per-query policy (budget, chaos, injected slowness) around a
    pluggable table fetch — [query] fetches straight from the cache,

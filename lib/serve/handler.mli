@@ -11,7 +11,8 @@
       past the deadline {e stays cached}, so the client's retry is a
       cache hit: the budget bounds one request's latency, it does not
       waste the work.
-    - {e bounded cache}: queries compile through a shared
+    - {e bounded cache}: queries fetch their table through
+      {!Experiments.Strategy.ensure_dp_table} on a shared
       {!Experiments.Strategy.Cache}; give {!create} a bounded cache and
       eviction/hit counters flow back through the [stats] request.
     - {e chaos}: an optional {!Robust.Chaos} is consulted once per
@@ -25,7 +26,11 @@
     for the client's remaining reservation, mirroring
     {!Core.Dp.policy}'s re-planning recursion: fresh plans read the
     [δ = 0] tables at [best_k]; recovering plans read the [δ = 1]
-    tables at [arg_best_m] capped by the client's [kleft]. *)
+    tables at [arg_best_m] capped by the client's [kleft]. That cap is
+    why serve keeps the k-indexed Section 6 table ({!Core.Dp}) while
+    the figures compile from the k-free {!Core.Optimal} one: a client
+    with fewer checkpoints left than the k-free plan uses needs the
+    best plan over at most [kleft] of them. *)
 
 type t
 

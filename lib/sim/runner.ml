@@ -59,10 +59,3 @@ let evaluate ?ckpt_sampler ?platforms ?predictions ~params ~horizon ~policy
     mean_predictions_true = float_of_int !pred_true /. fn;
     mean_predictions_false = float_of_int !pred_false /. fn;
   }
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "%-22s T=%-8g traces=%-5d work=%.4f (±%.4f) failures=%.2f ckpts=%.2f"
-    r.policy r.horizon r.traces r.proportion.Numerics.Stats.mean
-    r.proportion.Numerics.Stats.ci95_half_width r.mean_failures
-    r.mean_checkpoints

@@ -33,5 +33,3 @@ val evaluate :
     also compared on identical platform histories and predictions
     (common random numbers). Raises [Invalid_argument] on an empty
     trace array or a misaligned [platforms] / [predictions]. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -137,8 +137,7 @@ let policies k ~params =
     St.compile_exn cache ~params ~horizon ~dist s
   in
   let dp () =
-    ignore (compile (S.Dynamic_programming { quantum = 1.0 }) : Sim.Policy.t);
-    match St.dp_table cache ~params ~horizon ~quantum:1.0 with
+    match St.ensure_dp_table cache ~params ~horizon ~quantum:1.0 with
     | Ok t -> t
     | Error e -> failwith (St.error_message e)
   in

@@ -122,10 +122,8 @@ let test_variable_segments_policy () =
      noise from quadrature and the optimiser). *)
   let params = P.paper ~lambda:0.01 ~c:20.0 ~d:0.0 in
   let horizon = 300.0 in
-  let dp =
-    Core.Dp.build ~params ~quantum:1.0 ~horizon ()
-  in
-  let policy = PO.variable_segments_policy ~params ~horizon ~dp in
+  let opt = Core.Optimal.build ~params ~quantum:1.0 ~horizon () in
+  let policy = PO.variable_segments_policy ~params ~horizon ~opt in
   List.iter
     (fun (tleft, recovering) ->
       Sim.Policy.validate_plan ~params ~tleft ~recovering
@@ -133,7 +131,7 @@ let test_variable_segments_policy () =
     [ (300.0, false); (299.5, true); (100.0, false); (45.0, true); (10.0, false) ];
   let value p = Core.Expected.policy_value ~params ~quantum:1.0 ~horizon ~policy:p in
   let vs = value policy in
-  let dp_v = Core.Dp.expected_work dp ~tleft:horizon in
+  let dp_v = Core.Optimal.value opt ~tleft:horizon in
   let no_v = value (Core.Policies.numerical_optimum ~params ~horizon) in
   Alcotest.(check bool)
     (Printf.sprintf "NO %.3f <= VS %.3f <= DP %.3f (with slack)" no_v vs dp_v)

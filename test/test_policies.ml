@@ -109,7 +109,7 @@ let test_periods_ordering () =
 
 let test_dynamic_programming_smoke () =
   let policy =
-    Po.dynamic_programming ~params ~quantum:2.0 ~horizon:300.0 ()
+    Po.dynamic_programming ~params ~quantum:2.0 ~horizon:300.0
   in
   Alcotest.(check string) "name" "DynamicProgramming" policy.Sim.Policy.name;
   let plan = Plans.of_policy policy ~tleft:300.0 ~recovering:false in

@@ -99,11 +99,6 @@ let test_fold_allocation () =
   if added > 32.0 then
     Alcotest.failf "fold adds %.1f minor words per trace (bound 32)" added
 
-let test_pp_smoke () =
-  let result = R.evaluate ~params ~horizon ~policy (traces ()) in
-  let s = Format.asprintf "%a" R.pp_result result in
-  Alcotest.(check bool) "mentions policy" true (String.length s > 20)
-
 let () =
   Alcotest.run "runner"
     [
@@ -114,6 +109,5 @@ let () =
             test_common_random_numbers;
           Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
           Alcotest.test_case "fold allocation" `Quick test_fold_allocation;
-          Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
         ] );
     ]

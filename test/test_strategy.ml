@@ -230,7 +230,7 @@ let test_missing_table_diagnosed () =
       Alcotest.(check bool) "message names the fix" true
         (contains ~needle:"Strategy.ensure" msg);
       Alcotest.(check bool) "message names the kind" true
-        (contains ~needle:"dp(u=1)" msg));
+        (contains ~needle:"optimal(u=1)" msg));
   match
     Strategy.compile_exn cache ~params ~horizon:100.0 ~dist
       (Spec.Dynamic_programming { quantum = 1.0 })
@@ -308,6 +308,43 @@ let test_adaptive_replans_hit_cache () =
   Alcotest.(check int) "two resident tables" 2
     (Strategy.Cache.resident_tables cache)
 
+(* One DP table: the five DP-backed families require the same k-free
+   key at one quantum, so a figure mixing them builds it once. *)
+let test_dp_families_share_key () =
+  let params = Fault.Params.paper ~lambda:0.001 ~c:20.0 ~d:0.0 in
+  let dist = Fault.Trace.Exponential { rate = 0.001 } in
+  let keys s =
+    List.map
+      (Strategy.Cache.key ~params ~horizon:1200.0)
+      (Strategy.requires ~dist s)
+  in
+  let want = keys (Spec.Optimal_unrestricted { quantum = 1.0 }) in
+  Alcotest.(check int) "one key" 1 (List.length want);
+  List.iter
+    (fun s ->
+      let got = keys s in
+      if
+        not
+          (List.length got = 1
+          && List.for_all2 Strategy.Cache.equal_key want got)
+      then Alcotest.failf "%s requires another key" (Strategy.to_string s))
+    Spec.
+      [
+        Dynamic_programming { quantum = 1.0 };
+        Adaptive (Dynamic_programming { quantum = 1.0 });
+        Proactive_window { w = 60.0 };
+        Variable_segments;
+      ];
+  (* ext-ablation: FirstOrder and NumericalOptimum thresholds, plus one
+     u = 1 table for DP, VariableSegments and OptimalUnrestricted. *)
+  let spec =
+    match Figures.find "ext-ablation" with
+    | None -> Alcotest.fail "ext-ablation missing"
+    | Some spec -> spec
+  in
+  Alcotest.(check int) "ext-ablation warms 3 tables" 3
+    (Strategy.warm_up_specs (Strategy.Cache.create ()) [ spec ])
+
 (* warm-up: one pass builds each distinct key exactly once, is
    idempotent, matches the serial counters when run on a pool, and a
    pre-warmed sweep reproduces the cold sweep byte for byte *)
@@ -376,9 +413,15 @@ let lru_dist = Fault.Trace.Exponential { rate = 0.01 }
 let lru_specs = [ Spec.Dynamic_programming { quantum = 1.0 } ]
 let lru_params lambda = Fault.Params.paper ~lambda ~c:5.0 ~d:0.0
 
+(* serve's path to the k-indexed table: ensure the key, count a hit or
+   a build, return the table *)
+let ensure_dp cache ~params ~horizon ~quantum =
+  match Strategy.ensure_dp_table cache ~params ~horizon ~quantum with
+  | Ok (_ : Core.Dp.t) -> ()
+  | Error e -> Alcotest.fail (Strategy.error_message e)
+
 let lru_ensure cache lambda =
-  Strategy.ensure cache ~params:(lru_params lambda) ~horizon:50.0
-    ~dist:lru_dist lru_specs
+  ensure_dp cache ~params:(lru_params lambda) ~horizon:50.0 ~quantum:1.0
 
 let dp_of ?(horizon = 50.0) cache lambda =
   match
@@ -501,11 +544,9 @@ let check_same_dp ~what want got =
 let test_horizon_sweep_builds_once () =
   let params = lru_params 0.01 in
   let cache = Strategy.Cache.create () in
-  let ensure horizon =
-    Strategy.ensure cache ~params ~horizon ~dist:lru_dist lru_specs
-  in
-  (* Campaign order: the block's maximal horizon first (warm-up and the
-     per-block ensure both use it), then the sweep's shorter points. *)
+  let ensure horizon = ensure_dp cache ~params ~horizon ~quantum:1.0 in
+  (* The longest horizon first, then shorter ones: a daemon asked about
+     one platform at several horizons (serve-mixed's hot set). *)
   ensure 200.0;
   let parent_bytes = Strategy.Cache.resident_bytes cache in
   List.iter ensure [ 150.0; 100.0; 50.0 ];
@@ -525,7 +566,7 @@ let test_horizon_sweep_builds_once () =
     (Core.Dp.is_view view);
   (* Cell-identical to a cold build at the short horizon. *)
   let fresh_cache = Strategy.Cache.create () in
-  Strategy.ensure fresh_cache ~params ~horizon:100.0 ~dist:lru_dist lru_specs;
+  ensure_dp fresh_cache ~params ~horizon:100.0 ~quantum:1.0;
   let fresh = dp_of fresh_cache 0.01 ~horizon:100.0 in
   Alcotest.(check bool) "the cold build owns its buffers" false
     (Core.Dp.is_view fresh);
@@ -555,10 +596,9 @@ let test_key_identity =
        ~count:200 (QCheck.make gen)
        (fun (lambda, c, r, d, horizon, quantum) ->
          let cache = Strategy.Cache.create () in
-         Strategy.ensure cache
+         ensure_dp cache
            ~params:(Fault.Params.make ~lambda ~c ~r ~d)
-           ~horizon ~dist:lru_dist
-           [ Spec.Dynamic_programming { quantum } ];
+           ~horizon ~quantum;
          let hit ~lambda ~c ~r ~d ~horizon ~quantum =
            Result.is_ok
              (Strategy.dp_table cache
@@ -586,15 +626,14 @@ let test_signed_zero_keys_distinct () =
   let resident params horizon =
     Result.is_ok (Strategy.dp_table cache ~params ~horizon ~quantum:1.0)
   in
-  Strategy.ensure cache ~params:zero ~horizon:100.0 ~dist:lru_dist lru_specs;
+  ensure_dp cache ~params:zero ~horizon:100.0 ~quantum:1.0;
   Alcotest.(check bool) "exact lookup: C = -0.0 misses" false
     (resident neg_zero 100.0);
   Alcotest.(check bool) "range query: C = -0.0 misses" false
     (resident neg_zero 50.0);
   Alcotest.(check bool) "range query: C = 0.0 answers" true
     (resident zero 50.0);
-  Strategy.ensure cache ~params:neg_zero ~horizon:100.0 ~dist:lru_dist
-    lru_specs;
+  ensure_dp cache ~params:neg_zero ~horizon:100.0 ~quantum:1.0;
   Alcotest.(check int) "C = -0.0 builds its own table" 2
     (Strategy.Cache.builds cache);
   let point params =
@@ -719,6 +758,8 @@ let () =
           Alcotest.test_case "tables built once" `Slow test_cache_builds_once;
           Alcotest.test_case "adaptive re-plans hit the cache" `Quick
             test_adaptive_replans_hit_cache;
+          Alcotest.test_case "DP families share one key" `Quick
+            test_dp_families_share_key;
           Alcotest.test_case "warm-up builds each key once" `Quick
             test_warm_up_builds_each_key_once;
           Alcotest.test_case "warmed sweep bit-identical" `Slow
