@@ -536,20 +536,8 @@ let campaign_cmd =
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR" ~doc)
   in
-  let shards_t =
-    let doc =
-      "Split each figure's grid across $(docv) forked shard workers, \
-       each appending completed points to a private ledger \
-       ($(b,DIR/<figure>.shard<s>.journal)) that the leader merges into \
-       the shared journal. Requires $(b,--journal) or $(b,--resume). \
-       The final CSVs are byte-identical to an unsharded run's; if a \
-       worker dies, surviving ledgers are merged before the campaign \
-       fails, so $(b,--resume --shards N) finishes only the rest."
-    in
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let run out n_traces t_step t_max report figures strategies platform_events
-      spares loss_rate predictor domains shards quiet journal resume
+      spares loss_rate predictor domains quiet journal resume
       retry chaos_rate chaos_hang chaos_seed chaos_fs_rate chaos_crash_at
       deadline task_timeout isolate =
     let isolate = supervision_of ~isolate ~task_timeout ~chaos_hang ~deadline in
@@ -577,7 +565,6 @@ let campaign_cmd =
         deadline;
         task_timeout;
         isolate;
-        shards;
       }
     in
     let progress = if quiet then fun _ -> () else prerr_endline in
@@ -626,7 +613,7 @@ let campaign_cmd =
     Term.(
       const run $ out_t $ n_traces_t $ t_step_t $ t_max_t $ report_t
       $ figures_only_t $ strategies_opt_t $ platform_events_t $ spares_t
-      $ loss_rate_t $ predictor_t $ domains_t $ shards_t $ quiet_t
+      $ loss_rate_t $ predictor_t $ domains_t $ quiet_t
       $ journal_t $ resume_t $ retry_t $ chaos_rate_t $ chaos_hang_t
       $ chaos_seed_t $ chaos_fs_t $ chaos_crash_at_t $ deadline_t
       $ task_timeout_t $ isolate_t)

@@ -16,7 +16,6 @@ type config = {
   deadline : float option;
   task_timeout : float option;
   isolate : bool;
-  shards : int option;
 }
 
 let default_config =
@@ -36,7 +35,6 @@ let default_config =
     deadline = None;
     task_timeout = None;
     isolate = false;
-    shards = None;
   }
 
 type outcome = {
@@ -101,153 +99,7 @@ let open_journal ~progress config (scaled : Spec.t) =
              scaled.Spec.id (Robust.Journal.length j));
       Some j
 
-let shard_ledger_path ~dir (spec : Spec.t) s =
-  Filename.concat dir (Printf.sprintf "%s.shard%d.journal" spec.Spec.id s)
-
-(* Fold every shard ledger found on disk into the shared journal, then
-   delete the ledger files. Entries already journaled are skipped, so
-   the merge is idempotent — it runs both before dispatch (recovering
-   whatever a previously crashed sharded run left behind) and after
-   (collecting this run's shards, including the partial ledger of a
-   worker that was killed mid-sweep: its completed points survive). *)
-let merge_ledgers config (scaled : Spec.t) ~dir ~shards main_j =
-  let merged = ref 0 in
-  for s = 0 to shards - 1 do
-    let path = shard_ledger_path ~dir scaled s in
-    if Sys.file_exists path then begin
-      let ledger =
-        retry_write config.retry
-          ~key:(Hashtbl.hash (scaled.Spec.id, "ledger", s))
-          (fun () ->
-            Robust.Journal.open_ ~path ~key:(Spec.fingerprint scaled) ())
-      in
-      List.iter
-        (fun (e : Robust.Journal.entry) ->
-          if
-            Robust.Journal.find main_j ~c:e.Robust.Journal.c
-              ~strategy:e.Robust.Journal.strategy ~t:e.Robust.Journal.t
-            = None
-          then begin
-            retry_write config.retry
-              ~key:(Hashtbl.hash (scaled.Spec.id, "merge", s, !merged))
-              (fun () -> Robust.Journal.append main_j e);
-            incr merged
-          end)
-        (Robust.Journal.entries ledger);
-      Robust.Journal.close ledger;
-      Sys.remove path
-    end
-  done;
-  Robust.Journal.sync main_j;
-  !merged
-
-(* One figure, sharded: partition the grid's task keys across [shards]
-   forked workers, each journaling to a private ledger, then assemble
-   the curves from the merged journal. The CSV this produces is
-   byte-identical to an unsharded run's: every point is computed by
-   exactly one worker from the same seeds, committed with %.17g
-   round-tripping floats, and served back from the journal. *)
-let run_sharded ~pool ~backend ~cache ~progress ~deadline config
-    (scaled : Spec.t) ~shards =
-  let dir =
-    match config.journal with
-    | Journal dir | Resume dir -> dir
-    | No_journal -> invalid_arg "Campaign: sharding requires a journal"
-  in
-  let reopen () =
-    match open_journal ~progress config scaled with
-    | Some j -> j
-    | None -> assert false
-  in
-  (* Recover: a crashed sharded run leaves ledgers behind; fold them in
-     before dispatch so workers skip everything already computed. *)
-  let j = reopen () in
-  let recovered = merge_ledgers config scaled ~dir ~shards j in
-  if recovered > 0 then
-    progress
-      (Printf.sprintf "[%s] recovered %d point(s) from shard ledger(s)"
-         scaled.Spec.id recovered);
-  Robust.Journal.close j;
-  (* Dispatch one forked worker per shard. Each opens the shared journal
-     read-only-in-practice (its appends go to the private ledger) and
-     its ledger under a distinct chaos point (shard0, shard1, …), so
-     [--chaos-crash-at shard0:N] SIGKILLs exactly one worker. Workers
-     fork before any domain is live ({!Parallel.Pool} joins its domains
-     per call) and spawn their own reduced-width pools after the fork. *)
-  let worker_domains =
-    max 1 (Parallel.Pool.domains pool / max 1 shards)
-  in
-  let worker ~attempt:_ _i s =
-    let journal =
-      Robust.Journal.open_
-        ~path:(journal_path ~dir scaled)
-        ~key:(Spec.fingerprint scaled) ()
-    in
-    let ledger =
-      Robust.Journal.open_ ?chaos:config.chaos ?fs:config.chaos_fs
-        ~point:(Printf.sprintf "shard%d" s)
-        ~path:(shard_ledger_path ~dir scaled s)
-        ~key:(Spec.fingerprint scaled) ()
-    in
-    let wcache = Strategy.Cache.create () in
-    let wpool = Parallel.Pool.create ~domains:worker_domains () in
-    Fun.protect
-      ~finally:(fun () ->
-        Parallel.Pool.shutdown wpool;
-        Robust.Journal.close ledger;
-        Robust.Journal.close journal)
-      (fun () ->
-        let result =
-          Runner.run ~pool:wpool ~deadline
-            ~progress:(fun m -> progress (Printf.sprintf "[shard %d] %s" s m))
-            ~journal ~ledger ~shard:(s, shards) ~retry:config.retry
-            ?chaos:config.chaos ~cache:wcache scaled
-        in
-        (* The worker's curves are bookkeeping only (its shard alone
-           cannot complete one); the points live in the ledger. *)
-        ignore (result : Runner.result))
-  in
-  let outcomes =
-    Parallel.Proc_pool.with_pool ~workers:shards ~attempts:1 (fun pp ->
-        Parallel.Proc_pool.try_mapi pp ~f:worker (Array.init shards Fun.id))
-  in
-  (* Collect: merge every ledger — a killed worker's completed points
-     included — then fail or assemble. *)
-  let j = reopen () in
-  let merged = merge_ledgers config scaled ~dir ~shards j in
-  progress
-    (Printf.sprintf "[%s] merged %d point(s) from %d shard(s)" scaled.Spec.id
-       merged shards);
-  let failures =
-    Array.to_list outcomes
-    |> List.filter_map (function Ok () -> None | Error e -> Some e)
-  in
-  match failures with
-  | e :: _ ->
-      Robust.Journal.close j;
-      failwith
-        (Printf.sprintf
-           "Campaign: %d of %d shard worker(s) failed (completed points are \
-            journaled; rerun with --resume to finish): %s"
-           (List.length failures) shards (Printexc.to_string e))
-  | [] ->
-      (* Assemble: an unsharded pass over the merged journal. When the
-         workers finished everything, every point is served from the
-         journal and this computes nothing; under an expired deadline
-         the unfinished remainder surfaces as [partial] as usual. *)
-      Fun.protect
-        ~finally:(fun () -> Robust.Journal.close j)
-        (fun () ->
-          Runner.run ~pool ~backend ~deadline ~progress ~journal:j
-            ~retry:config.retry ?chaos:config.chaos ~cache scaled)
-
 let run ?pool ?cache ?(progress = fun _ -> ()) config =
-  (match config.shards with
-  | Some n when n < 1 ->
-      invalid_arg "Campaign: shards must be >= 1"
-  | Some _ when config.journal = No_journal ->
-      invalid_arg "Campaign: sharding requires --journal or --resume"
-  | _ -> ());
   let own_pool = pool = None in
   let pool = match pool with Some p -> p | None -> Parallel.Pool.create () in
   (* One compiled-table cache spans the whole campaign: figures sharing
@@ -332,20 +184,13 @@ let run ?pool ?cache ?(progress = fun _ -> ()) config =
             end
             else begin
               progress (Printf.sprintf "== %s ==" scaled.Spec.id);
+              let journal = open_journal ~progress config scaled in
               let result =
-                match config.shards with
-                | Some n when n > 1 ->
-                    run_sharded ~pool ~backend ~cache ~progress ~deadline
-                      config scaled ~shards:n
-                | _ ->
-                    let journal = open_journal ~progress config scaled in
-                    Fun.protect
-                      ~finally:(fun () ->
-                        Option.iter Robust.Journal.close journal)
-                      (fun () ->
-                        Runner.run ~pool ~backend ~deadline ~progress ?journal
-                          ~retry:config.retry ?chaos:config.chaos ~cache
-                          scaled)
+                Fun.protect
+                  ~finally:(fun () -> Option.iter Robust.Journal.close journal)
+                  (fun () ->
+                    Runner.run ~pool ~backend ~deadline ~progress ?journal
+                      ~retry:config.retry ?chaos:config.chaos ~cache scaled)
               in
               let path =
                 Filename.concat config.out_dir (scaled.Spec.id ^ ".csv")

@@ -45,28 +45,14 @@ type config = {
           CSV exports and the Markdown report *)
   deadline : float option;
       (** wall-clock seconds for the {e whole} campaign; when the budget
-          runs out, in-flight points drain, the journal is synced, and
-          remaining work is reported as partial instead of crashing *)
+          runs out, in-flight points drain and remaining work is
+          reported as partial instead of crashing *)
   task_timeout : float option;
       (** per-grid-point watchdog (seconds); implies process isolation,
           since only a forked worker can be killed and re-dispatched *)
   isolate : bool;
       (** run grid points in supervised forked workers
           ({!Parallel.Proc_pool}) instead of domains *)
-  shards : int option;
-      (** split each figure's grid across this many forked shard workers
-          ([--shards N]); requires a journal. Task keys are partitioned
-          by residue class, each worker appends its completed points to
-          a private ledger [<dir>/<figure>.shard<s>.journal] (chaos-fs
-          point [shard<s>]), and the leader merges the ledgers into the
-          shared journal — before dispatch (recovering a crashed run's
-          progress) and after — then assembles the curves from it. The
-          resulting CSV is byte-identical to an unsharded run's. When a
-          worker dies (e.g. SIGKILL) the campaign fails {e after}
-          merging every surviving ledger, so [--resume --shards N]
-          finishes only the remaining points. [isolate]/[task_timeout]
-          apply to the leader's assembly pass only; shard workers sweep
-          on their own domain pools. *)
 }
 
 val default_config : config
@@ -94,8 +80,9 @@ val run :
     the whole campaign, so compiled threshold/DP/optimal/renewal tables
     are built at most once per [(params, horizon, quantum, kind)] and
     shared across figures and duplicated sub-plots.
-    With journaling enabled, every completed grid point is persisted as
-    it lands and already-journaled points are skipped, so a killed
+    With journaling enabled, every completed grid point is appended to
+    its figure's one journal and fsync'd as it lands, and
+    already-journaled points are skipped, so a killed
     campaign relaunched on the same journal directory finishes the
     remaining work only. Journal keys are [Spec.fingerprint]s of the
     {e scaled} specs: resuming with different [--traces]/[--t-step]

@@ -83,9 +83,8 @@ let entry_of_point ~c ~strategy (p : point) =
    [Domains] backend, from the supervising parent on [Processes] (a
    forked child's journal writes would die with its copy-on-write heap)
    — so an interruption loses at most the points still in flight. *)
-let sweep ~pool ~backend ~deadline ~progress ~journal ~ledger ~shard ~retry
-    ~chaos ~cache ~spec ~dist ~params ~c ~grid ~horizon_max ~tasks ~cached
-    ~base =
+let sweep ~pool ~backend ~deadline ~progress ~journal ~retry ~chaos ~cache
+    ~spec ~dist ~params ~c ~grid ~horizon_max ~tasks ~cached ~base =
   (* A malleable spec draws traces from the node-level model instead of
      the aggregate distribution: each trace then carries its own
      loss/rejoin schedule, replayed for every strategy so static and
@@ -173,19 +172,11 @@ let sweep ~pool ~backend ~deadline ~progress ~journal ~ledger ~shard ~retry
   in
   (* Cached points never travel through a backend: they are free, so a
      deadline that expires mid-block cannot cancel them, and they must
-     not be journaled a second time. A shard keeps only its residue
-     class of the task-key space — task keys are stable across runs, so
-     the same point always lands on the same shard and the shards'
-     ledgers partition the grid with no overlap. *)
-  let mine i =
-    match shard with
-    | None -> true
-    | Some (index, count) -> (base + i) mod count = index
-  in
+     not be journaled a second time. *)
   let todo =
     Array.of_list
       (List.filter
-         (fun i -> cached.(i) = None && mine i)
+         (fun i -> cached.(i) = None)
          (List.init (Array.length tasks) Fun.id))
   in
   (* The task key feeds chaos injection and retry jitter; the evaluation
@@ -214,10 +205,7 @@ let sweep ~pool ~backend ~deadline ~progress ~journal ~ledger ~shard ~retry
      the previous record boundary, so retrying the append is sound and
      "--retry N" covers the persistence path as well as the compute. *)
   let commit i p =
-    (* A sharded worker appends to its private ledger, never to the
-       shared journal it reads from — concurrent appends from several
-       worker processes to one file would interleave frames. *)
-    match (match ledger with Some _ -> ledger | None -> journal) with
+    match journal with
     | Some j ->
         let entry =
           entry_of_point ~c ~strategy:(Spec.strategy_name (fst tasks.(i))) p
@@ -265,13 +253,8 @@ let is_deadline_miss = function
   | _ -> false
 
 let run ?pool ?(backend = Domains) ?(deadline = Robust.Deadline.unlimited)
-    ?(progress = fun _ -> ()) ?journal ?ledger ?shard
-    ?(retry = Robust.Retry.no_retry) ?chaos ?cache spec =
-  (match shard with
-  | Some (index, count) when count < 1 || index < 0 || index >= count ->
-      invalid_arg
-        (Printf.sprintf "Runner.run: invalid shard %d/%d" index count)
-  | _ -> ());
+    ?(progress = fun _ -> ()) ?journal ?(retry = Robust.Retry.no_retry) ?chaos
+    ?cache spec =
   let cache =
     match cache with Some c -> c | None -> Strategy.Cache.create ()
   in
@@ -303,62 +286,35 @@ let run ?pool ?(backend = Domains) ?(deadline = Robust.Deadline.unlimited)
          the sweeps. The per-block [Strategy.ensure] stays in [sweep] as
          the correctness anchor; after warm-up it only scores hits. *)
       if not (Robust.Deadline.expired deadline) then begin
-        (* A shard worker warms tables only for the points it will
-           compute itself — the other shards' workers warm their own. *)
-        let journaled j ~c ~name ~t =
-          match j with
+        let block_done ~c grid =
+          match journal with
           | None -> false
-          | Some j -> Robust.Journal.find j ~c ~strategy:name ~t <> None
+          | Some j ->
+              List.for_all
+                (fun strategy ->
+                  let strategy = Spec.strategy_name strategy in
+                  Array.for_all
+                    (fun t -> Robust.Journal.find j ~c ~strategy ~t <> None)
+                    grid)
+                spec.Spec.strategies
         in
-        let block_done ~base ~c grid =
-          (journal <> None || ledger <> None)
-          &&
-          let strategies = spec.Spec.strategies in
-          List.for_all
-            (fun si ->
-              let strategy = List.nth strategies si in
-              let name = Spec.strategy_name strategy in
-              Array.for_all
-                (fun ti ->
-                  let t = grid.(ti) in
-                  let i = (si * Array.length grid) + ti in
-                  let mine =
-                    match shard with
-                    | None -> true
-                    | Some (index, count) -> (base + i) mod count = index
-                  in
-                  (not mine)
-                  || journaled journal ~c ~name ~t
-                  || journaled ledger ~c ~name ~t)
-                (Array.init (Array.length grid) Fun.id))
-            (List.init (List.length strategies) Fun.id)
-        in
-        let _, rev_points =
-          List.fold_left
-            (fun (base, acc) c ->
+        let points =
+          List.filter_map
+            (fun c ->
               let grid = Spec.t_grid spec ~c in
-              if Array.length grid = 0 then (base, acc)
+              if Array.length grid = 0 || block_done ~c grid then None
               else
-                let n_tasks =
-                  List.length spec.Spec.strategies * Array.length grid
-                in
-                let acc =
-                  if block_done ~base ~c grid then acc
-                  else
-                    {
-                      Strategy.wp_params =
-                        Fault.Params.paper ~lambda:spec.Spec.lambda ~c
-                          ~d:spec.Spec.d;
-                      wp_horizon = grid.(Array.length grid - 1);
-                      wp_dist = dist;
-                      wp_strategies = spec.Spec.strategies;
-                    }
-                    :: acc
-                in
-                (base + n_tasks, acc))
-            (0, []) spec.Spec.cs
+                Some
+                  {
+                    Strategy.wp_params =
+                      Fault.Params.paper ~lambda:spec.Spec.lambda ~c
+                        ~d:spec.Spec.d;
+                    wp_horizon = grid.(Array.length grid - 1);
+                    wp_dist = dist;
+                    wp_strategies = spec.Spec.strategies;
+                  })
+            spec.Spec.cs
         in
-        let points = List.rev rev_points in
         let built = Strategy.warm_up ~pool cache points in
         if built > 0 then
           progress
@@ -393,22 +349,15 @@ let run ?pool ?(backend = Domains) ?(deadline = Robust.Deadline.unlimited)
               (* Points already committed to the journal are reused
                  verbatim: journaled floats round-trip exactly, so a
                  resumed sweep reproduces the interrupted one's curves. *)
-              (* A sharded worker also consults its own ledger: a
-                 re-dispatched or resumed shard skips the points its
-                 previous incarnation already committed. *)
-              let find_cached ~strategy ~t =
-                let look = function
-                  | None -> None
-                  | Some j ->
-                      Robust.Journal.find j ~c
-                        ~strategy:(Spec.strategy_name strategy) ~t
-                in
-                match look journal with None -> look ledger | some -> some
-              in
               let cached =
                 Array.map
                   (fun (strategy, t) ->
-                    Option.map point_of_entry (find_cached ~strategy ~t))
+                    match journal with
+                    | None -> None
+                    | Some j ->
+                        Option.map point_of_entry
+                          (Robust.Journal.find j ~c
+                             ~strategy:(Spec.strategy_name strategy) ~t))
                   tasks
               in
               let n_cached =
@@ -442,13 +391,10 @@ let run ?pool ?(backend = Domains) ?(deadline = Robust.Deadline.unlimited)
                     cached
                 end
                 else
-                  sweep ~pool ~backend ~deadline ~progress ~journal ~ledger
-                    ~shard ~retry ~chaos ~cache ~spec ~dist ~params ~c ~grid
-                    ~horizon_max ~tasks ~cached ~base
+                  sweep ~pool ~backend ~deadline ~progress ~journal ~retry
+                    ~chaos ~cache ~spec ~dist ~params ~c ~grid ~horizon_max
+                    ~tasks ~cached ~base
               in
-              (match (match ledger with Some _ -> ledger | None -> journal) with
-              | Some j -> Robust.Journal.sync j
-              | None -> ());
               let failures = ref [] and missed = ref 0 in
               Array.iter
                 (function

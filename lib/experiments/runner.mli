@@ -63,8 +63,6 @@ val run :
   ?deadline:Robust.Deadline.t ->
   ?progress:(string -> unit) ->
   ?journal:Robust.Journal.t ->
-  ?ledger:Robust.Journal.t ->
-  ?shard:int * int ->
   ?retry:Robust.Retry.t ->
   ?chaos:Robust.Chaos.t ->
   ?cache:Strategy.Cache.t ->
@@ -83,26 +81,10 @@ val run :
     - [journal]: must be keyed by [Spec.fingerprint] of this spec. Grid
       points already present are {e not} recomputed (a C block that is
       fully journaled skips trace generation and table builds
-      altogether); each newly computed point is appended as soon as it
-      completes and the journal is fsync'd at every C-block boundary.
-      On the [Processes] backend the append happens in the supervising
-      parent as results settle (a forked child's writes would be lost
-      with its copy-on-write heap).
-    - [shard]: [(index, count)] restricts the sweep to the task keys in
-      residue class [index mod count]. Task keys are stable across runs,
-      so [count] workers given shards [0 .. count - 1] partition the
-      grid exactly. Points outside the shard are neither computed nor
-      failed — they surface as [missed] (the worker's [result] is
-      bookkeeping only; curve assembly happens in the leader from the
-      merged journal). Raises [Invalid_argument] unless
-      [0 <= index < count].
-    - [ledger]: where newly computed points are appended when it differs
-      from the read-side [journal]. A sharded worker reads completed
-      points from the shared (merged) journal but writes to a private
-      per-shard ledger — concurrent appends from several processes to
-      one journal file would interleave frames. The ledger is also
-      consulted for cached points, so a re-dispatched worker skips what
-      its previous incarnation committed.
+      altogether); each newly computed point is appended, and fsync'd,
+      as soon as it completes. On the [Processes] backend the append
+      happens in the supervising parent as results settle (a forked
+      child's writes would be lost with its copy-on-write heap).
     - [retry]: per-task bounded retries with deterministic jittered
       backoff for transient failures ([Robust.Retry.no_retry] by
       default). Because each task is a pure function of the spec, a
@@ -113,9 +95,9 @@ val run :
       resilience tests and demos.
     - [deadline]: a reservation budget ({!Robust.Deadline.unlimited} by
       default). Once it expires no new task is dispatched (in-flight
-      tasks drain); remaining points are counted in [missed], the
-      journal is fsync'd, and whatever curves are complete are returned
-      with [partial = true] — the run ends gracefully instead of dying.
+      tasks drain); remaining points are counted in [missed], and
+      whatever curves are complete are returned with [partial = true]
+      — the run ends gracefully instead of dying.
       A curve is emitted only when {e all} its points completed.
     One task failing (after retries) no longer abandons the others:
     every remaining task completes (and is journaled) before

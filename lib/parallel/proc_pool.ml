@@ -60,8 +60,6 @@ let create ?workers ?task_timeout ?(attempts = 1) ?(heartbeat = 0.05) () =
   if heartbeat <= 0.0 then invalid_arg "Proc_pool.create: heartbeat <= 0";
   { workers; task_timeout; attempts; heartbeat; closed = false }
 
-let workers t = t.workers
-
 (* ---- framed transport over pipes ---- *)
 
 let rec write_all fd buf ofs len =

@@ -76,8 +76,6 @@ val create :
     [heartbeat] (default 0.05 s) bounds how long the supervisor sleeps
     between liveness/deadline polls. *)
 
-val workers : t -> int
-
 val try_mapi :
   t ->
   ?should_stop:(unit -> bool) ->

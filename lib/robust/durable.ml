@@ -178,15 +178,12 @@ module Framed = struct
 
   type writer = {
     fd : Unix.file_descr;
-    path : string;
     point : string;
     chaos : Chaos_fs.t option;
-    durable : bool;
-    mutable dirty : bool;
     mutable closed : bool;
   }
 
-  let create ?chaos ?(durable = true) ~point ~path ~header () =
+  let create ?chaos ~point ~path ~header () =
     let fd =
       Unix.openfile path
         [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
@@ -194,16 +191,14 @@ module Framed = struct
     in
     (try
        write_all ?chaos ~point:(point ^ "-header") fd (header ^ "\n");
-       if durable then begin
-         Unix.fsync fd;
-         fsync_dir (Filename.dirname path)
-       end
+       Unix.fsync fd;
+       fsync_dir (Filename.dirname path)
      with e ->
        (try Unix.close fd with Unix.Unix_error _ -> ());
        raise e);
-    { fd; path; point; chaos; durable; dirty = false; closed = false }
+    { fd; point; chaos; closed = false }
 
-  let open_append ?chaos ?(durable = true) ~point ~path ~keep () =
+  let open_append ?chaos ~point ~path ~keep () =
     let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0o644 in
     (try
        Unix.ftruncate fd keep;
@@ -211,7 +206,7 @@ module Framed = struct
      with e ->
        (try Unix.close fd with Unix.Unix_error _ -> ());
        raise e);
-    { fd; path; point; chaos; durable; dirty = false; closed = false }
+    { fd; point; chaos; closed = false }
 
   let check_open w =
     if w.closed then invalid_arg "Durable.Framed: writer used after close"
@@ -230,18 +225,10 @@ module Framed = struct
           ignore (Unix.lseek w.fd start Unix.SEEK_SET)
         with Unix.Unix_error _ -> ());
        raise e);
-    if w.durable then Unix.fsync w.fd else w.dirty <- true
-
-  let sync w =
-    check_open w;
-    if w.dirty then begin
-      Unix.fsync w.fd;
-      w.dirty <- false
-    end
+    Unix.fsync w.fd
 
   let close w =
     check_open w;
-    (try sync w with Unix.Unix_error _ -> ());
     w.closed <- true;
     try Unix.close w.fd with Unix.Unix_error _ -> ()
 end

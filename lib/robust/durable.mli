@@ -36,11 +36,6 @@ val quarantine : path:string -> reason:string -> string
     quarantine path. The sidecar write is best-effort: quarantining
     itself must not fail on the sick disk it exists to survive. *)
 
-val fsync_dir : string -> unit
-(** fsync a directory so a just-renamed entry survives a crash.
-    Best-effort: platforms that cannot open or fsync directories are
-    silently tolerated. *)
-
 (** Length-prefixed, checksummed record framing for append-only files.
 
     On-disk layout, after a caller-supplied header line:
@@ -97,33 +92,27 @@ module Framed : sig
   type writer
 
   val create :
-    ?chaos:Chaos_fs.t -> ?durable:bool -> point:string -> path:string ->
-    header:string -> unit -> writer
+    ?chaos:Chaos_fs.t -> point:string -> path:string -> header:string ->
+    unit -> writer
   (** Start a fresh store (truncating any existing file): write the
-      header line, and — when [durable] (default true) — fsync the file
-      and its directory so the store itself survives a crash. [point]
-      names the chaos-injection site; the header write uses
-      [point ^ "-header"]. *)
+      header line, then fsync the file and its directory so the store
+      itself survives a crash. [point] names the chaos-injection site;
+      the header write uses [point ^ "-header"]. *)
 
   val open_append :
-    ?chaos:Chaos_fs.t -> ?durable:bool -> point:string -> path:string ->
-    keep:int -> unit -> writer
+    ?chaos:Chaos_fs.t -> point:string -> path:string -> keep:int -> unit ->
+    writer
   (** Reopen an existing store for appending, first truncating it to
       [keep] bytes — the caller passes the clean prefix length its
       {!scan} established. *)
 
   val append : writer -> string -> unit
-  (** Append one framed record; fsync it when the writer is durable.
-      If the write fails midway (injected or real [EIO]/[ENOSPC]), the
-      store is repaired by truncating back to the record's start before
-      the exception propagates, so a retried append lands on a clean
-      tail. *)
-
-  val sync : writer -> unit
-  (** fsync if any record was appended since the last sync (a no-op on
-      durable writers, which fsync per append). *)
+  (** Append one framed record and fsync it before returning. If the
+      write fails midway (injected or real [EIO]/[ENOSPC]), the store is
+      repaired by truncating back to the record's start before the
+      exception propagates, so a retried append lands on a clean tail. *)
 
   val close : writer -> unit
-  (** {!sync} (best-effort) then close the descriptor. The writer must
-      not be used afterwards. *)
+  (** Close the descriptor (every record is already fsync'd). The writer
+      must not be used afterwards. *)
 end

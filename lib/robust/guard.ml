@@ -14,7 +14,6 @@ let drain () =
       ws)
 
 let peek () = Mutex.protect lock (fun () -> List.rev !store)
-let count () = Mutex.protect lock (fun () -> List.length !store)
 
 let protect ~context ~recover f =
   try f ()

@@ -34,6 +34,4 @@ val drain : unit -> warning list
 val peek : unit -> warning list
 (** Like {!drain} without clearing. *)
 
-val count : unit -> int
-
 val pp_warning : Format.formatter -> warning -> unit

@@ -9,12 +9,9 @@ type entry = {
 }
 
 type t = {
-  path : string;
-  key : string;
   chaos : Chaos.t option;
   lock : Mutex.t;
   index : (float * string * float, entry) Hashtbl.t;
-  mutable order : entry list;  (* newest first *)
   writer : Durable.Framed.writer;
   mutable appended : int;  (* total appends: chaos key stream *)
   mutable notes : string list;  (* newest first *)
@@ -72,10 +69,11 @@ let foreign_header h =
   | [ "#"; "fixedlen-journal"; "v2"; key ] -> key <> ""
   | _ -> false
 
-let open_ ?chaos ?fs ?(durable = true) ?(strict = false) ?(point = "journal")
-    ~path ~key () =
+(* The chaos-fs write site of every journal: [--chaos-crash-at journal:N]. *)
+let point = "journal"
+
+let open_ ?chaos ?fs ?(strict = false) ~path ~key () =
   no_whitespace "key" key;
-  no_whitespace "point" point;
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
   let wrap_open f =
@@ -87,8 +85,7 @@ let open_ ?chaos ?fs ?(durable = true) ?(strict = false) ?(point = "journal")
   in
   let start_fresh () =
     wrap_open (fun () ->
-        Durable.Framed.create ?chaos:fs ~durable ~point ~path
-          ~header:(header_of key) ())
+        Durable.Framed.create ?chaos:fs ~point ~path ~header:(header_of key) ())
   in
   let quarantine_and_restart reason =
     let qpath = Durable.quarantine ~path ~reason in
@@ -158,8 +155,7 @@ let open_ ?chaos ?fs ?(durable = true) ?(strict = false) ?(point = "journal")
               (List.length !accepted);
           let writer =
             wrap_open (fun () ->
-                Durable.Framed.open_append ?chaos:fs ~durable ~point ~path
-                  ~keep:!keep ())
+                Durable.Framed.open_append ?chaos:fs ~point ~path ~keep:!keep ())
           in
           (writer, List.rev !accepted)
     end
@@ -169,12 +165,9 @@ let open_ ?chaos ?fs ?(durable = true) ?(strict = false) ?(point = "journal")
     (fun e -> Hashtbl.replace index (e.c, e.strategy, e.t) e)
     accepted;
   {
-    path;
-    key;
     chaos;
     lock = Mutex.create ();
     index;
-    order = List.rev accepted;
     writer;
     appended = 0;
     notes = !notes;
@@ -183,10 +176,7 @@ let open_ ?chaos ?fs ?(durable = true) ?(strict = false) ?(point = "journal")
 
 let check_open t = if t.closed then invalid_arg "Journal: used after close"
 let warnings t = List.rev t.notes
-let entries t = List.rev t.order
 let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.index)
-let path t = t.path
-let key t = t.key
 
 let find t ~c ~strategy ~t:horizon =
   Mutex.protect t.lock (fun () ->
@@ -202,13 +192,7 @@ let append t e =
       | Some chaos -> Chaos.inject chaos ~key:seq ~attempt:0
       | None -> ());
       Durable.Framed.append t.writer (payload e);
-      Hashtbl.replace t.index (e.c, e.strategy, e.t) e;
-      t.order <- e :: t.order)
-
-let sync t =
-  Mutex.protect t.lock (fun () ->
-      check_open t;
-      Durable.Framed.sync t.writer)
+      Hashtbl.replace t.index (e.c, e.strategy, e.t) e)
 
 let close t =
   Mutex.protect t.lock (fun () ->

@@ -34,10 +34,8 @@
       recomputation of this point, never the whole campaign.
 
     [append] is thread-safe (campaign tasks run on multiple domains).
-    With [durable] (the default) every record is fsync'd as it is
-    appended, bounding loss after a crash to the record being written;
-    with [~durable:false] records are only flushed per append and
-    fsync'd at {!sync}/{!close} (batch boundaries). *)
+    Every record is fsync'd as it is appended, bounding loss after a
+    crash to the record being written. *)
 
 type entry = {
   c : float;
@@ -54,9 +52,7 @@ type t
 val open_ :
   ?chaos:Chaos.t ->
   ?fs:Chaos_fs.t ->
-  ?durable:bool ->
   ?strict:bool ->
-  ?point:string ->
   path:string ->
   key:string ->
   unit ->
@@ -64,21 +60,15 @@ val open_ :
 (** Open (creating or recovering as described above) a journal for
     producer [key]. [chaos], if given, injects synthetic failures into
     subsequent {!append} calls; [fs] injects filesystem faults (short
-    writes, [EIO]/[ENOSPC], crash points) into the write path itself.
-    [point] (default ["journal"]) names this journal's write site for
-    [fs] fault selection — a sharded campaign opens each shard's ledger
-    under its own point (["shard0"], ["shard1"], …) so a crash spec like
-    [--chaos-crash-at shard0:2] kills exactly one worker. Raises
-    [Failure] in [strict] mode on a key mismatch, [Failure] with a
-    [cannot open journal] message on an unwritable path, and
-    [Invalid_argument] on a key or point containing whitespace. *)
+    writes, [EIO]/[ENOSPC], crash points) into the write path itself,
+    at the write site ["journal"] (so [--chaos-crash-at journal:N]
+    selects it). Raises [Failure] in [strict] mode on a key mismatch,
+    [Failure] with a [cannot open journal] message on an unwritable
+    path, and [Invalid_argument] on a key containing whitespace. *)
 
 val warnings : t -> string list
 (** Human-readable notes from recovery at open time (quarantined
     journal, truncated tail, …), oldest first. *)
-
-val entries : t -> entry list
-(** Entries live in the journal, in append order (loaded + appended). *)
 
 val length : t -> int
 
@@ -88,19 +78,12 @@ val find : t -> c:float -> strategy:string -> t:float -> entry option
 
 val append : t -> entry -> unit
 (** Persist one completed point (thread-safe, framed append, fsync'd
-    when the journal is durable). If the write fails midway the file is
+    before it returns). If the write fails midway the file is
     repaired back to the previous record boundary before the exception
     propagates, so a retried append finds a clean tail. Raises
     [Invalid_argument] if [strategy] contains whitespace,
     [Chaos.Injected] under injection, [Unix.Unix_error] on (injected or
     real) I/O failure. *)
 
-val sync : t -> unit
-(** fsync the file if any record was appended since the last sync (a
-    no-op on durable journals, which fsync per append). *)
-
 val close : t -> unit
-(** {!sync} then close. The journal must not be used afterwards. *)
-
-val path : t -> string
-val key : t -> string
+(** Close the file. The journal must not be used afterwards. *)

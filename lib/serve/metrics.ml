@@ -30,14 +30,6 @@ let incr_timeouts t = bump t.timeouts
 let incr_failed t = bump t.failed
 let incr_batches t = bump t.batches
 let incr_idle_closed t = bump t.idle_closed
-let accepted t = Atomic.get t.accepted
-let shed t = Atomic.get t.shed
-let requests t = Atomic.get t.requests
-let answered t = Atomic.get t.answered
-let timeouts t = Atomic.get t.timeouts
-let failed t = Atomic.get t.failed
-let batches t = Atomic.get t.batches
-let idle_closed t = Atomic.get t.idle_closed
 
 (* New fields go at the end: drill scripts match the head of this line
    with substring greps. *)
@@ -45,5 +37,6 @@ let summary t =
   Printf.sprintf
     "accepted=%d shed=%d requests=%d answered=%d timeouts=%d failed=%d \
      batches=%d idle-closed=%d"
-    (accepted t) (shed t) (requests t) (answered t) (timeouts t) (failed t)
-    (batches t) (idle_closed t)
+    (Atomic.get t.accepted) (Atomic.get t.shed) (Atomic.get t.requests)
+    (Atomic.get t.answered) (Atomic.get t.timeouts) (Atomic.get t.failed)
+    (Atomic.get t.batches) (Atomic.get t.idle_closed)

@@ -31,15 +31,6 @@ val incr_batches : t -> unit
 val incr_idle_closed : t -> unit
 (** A connection was closed for exceeding the idle timeout. *)
 
-val accepted : t -> int
-val shed : t -> int
-val requests : t -> int
-val answered : t -> int
-val timeouts : t -> int
-val failed : t -> int
-val batches : t -> int
-val idle_closed : t -> int
-
 val summary : t -> string
 (** One deterministic line for the drain message:
     [accepted=N shed=N requests=N answered=N timeouts=N failed=N

@@ -121,11 +121,10 @@ let open_ ?chaos ?rotate_bytes ~point ~path ~header () =
       warnings = List.rev !warnings;
     } )
 
-let rotate t =
+let rotate (t : t) =
   (* Publish first, reset second: if the seal fails the live writer is
      untouched, and the crash window between the two steps is exactly
      the duplicate the recovery scan drops. *)
-  Framed.sync t.writer;
   let n = t.sealed + 1 in
   Robust.Durable.write_atomic ?chaos:t.chaos ~point:(t.point ^ "-seal")
     ~path:(segment_path t.path n)

@@ -536,7 +536,6 @@ type handle = {
 }
 
 let tcp_port h = h.h_tcp_port
-let metrics h = h.h_state.metrics
 
 let spawn_workers (t : state) =
   (* Worker loops live on pool domains; the dispatcher thread

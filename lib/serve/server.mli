@@ -117,6 +117,3 @@ val stop : handle -> unit
 
 val tcp_port : handle -> int option
 (** The bound TCP port (resolves [listen] port 0), when configured. *)
-
-val metrics : handle -> Metrics.t
-(** Live counters of a started daemon. *)
