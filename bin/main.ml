@@ -1557,7 +1557,11 @@ let serve_cmd =
     Arg.(value & flag & info [ "journal-compact" ] ~doc)
   in
   let cache_tables_t =
-    let doc = "LRU bound on resident policy tables." in
+    let doc =
+      "LRU bound on resident policy tables: one per platform and quantum, \
+       holding its k-free and (once a $(b,kleft) cap binds) k-indexed \
+       tables."
+    in
     Arg.(value & opt (some int) None & info [ "cache-tables" ] ~docv:"N" ~doc)
   in
   let cache_bytes_t =

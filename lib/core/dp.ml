@@ -33,6 +33,14 @@ let suggested_kmax ~params ~horizon =
     min exact (max 1 guess)
   else max 1 guess
 
+(* The exact bound on k: floor(Tq/Cq), at least 1. *)
+let exact_kmax ~tstar ~cq = max 1 (tstar / cq)
+
+let effective_kmax ~params ~quantum ~horizon =
+  let tstar = Tables.quanta_count ~who:"Dp.build" ~quantum ~horizon in
+  let cq = max 1 (quanta_round params.Fault.Params.c ~u:quantum) in
+  min (suggested_kmax ~params ~horizon) (exact_kmax ~tstar ~cq)
+
 let build ?kmax ~params ~quantum ~horizon () =
   let tstar = Tables.quanta_count ~who:"Dp.build" ~quantum ~horizon in
   let open Fault.Params in
@@ -40,7 +48,7 @@ let build ?kmax ~params ~quantum ~horizon () =
   let cq = max 1 (quanta_round params.c ~u) in
   let rq = max 0 (quanta_round params.r ~u) in
   let dq = max 0 (quanta_round params.d ~u) in
-  let kmax_exact = max 1 (tstar / cq) in
+  let kmax_exact = exact_kmax ~tstar ~cq in
   let kmax =
     match kmax with
     | None -> kmax_exact
@@ -261,48 +269,6 @@ let build ?kmax ~params ~quantum ~horizon () =
     done
   done;
   { params; u; tstar; kmax; cq; rq; dq; e0; e1; ib0; ib1; argm1; bestk0 }
-
-(* A DP cell (n, k) never looks at the horizon (tstar is only the loop
-   bound) or at rows above k, so the top-left prefix of a horizon-T
-   table is cell-identical to a fresh build at any T' <= T with the
-   same params and quantum. Only [bestk0] must be recomputed: the
-   parent's maximises over rows up to its own kmax, which may exceed
-   the view's cap. *)
-let prefix_view ?kmax t ~horizon =
-  let tstar = Tables.quanta_count ~who:"Dp.prefix_view" ~quantum:t.u ~horizon in
-  if tstar > t.tstar then
-    invalid_arg "Dp.prefix_view: horizon beyond the parent table";
-  let kmax_exact = max 1 (tstar / t.cq) in
-  let kmax =
-    match kmax with
-    | None -> min t.kmax kmax_exact
-    | Some k ->
-        if k < 1 then invalid_arg "Dp.prefix_view: kmax < 1";
-        min (min k kmax_exact) t.kmax
-  in
-  let cols = tstar + 1 in
-  let rows = kmax + 1 in
-  let e0 = Tables.F.view t.e0 ~rows ~cols in
-  let e1 = Tables.F.view t.e1 ~rows ~cols in
-  let ib0 = Tables.I.view t.ib0 ~rows ~cols in
-  let ib1 = Tables.I.view t.ib1 ~rows ~cols in
-  let argm1 = Tables.I.view t.argm1 ~rows ~cols in
-  let bestk0 = Array.make cols 0 in
-  let beste0 = Array.make cols 0.0 in
-  let e0d = Tables.F.data t.e0 in
-  for k = 1 to kmax do
-    let row = Tables.F.row t.e0 k in
-    for n = 1 to tstar do
-      let v = Bigarray.Array1.unsafe_get e0d (row + n) in
-      if v > beste0.(n) then begin
-        beste0.(n) <- v;
-        bestk0.(n) <- k
-      end
-    done
-  done;
-  { t with tstar; kmax; e0; e1; ib0; ib1; argm1; bestk0 }
-
-let is_view t = Tables.F.is_view t.e0
 
 let quantum t = t.u
 let horizon_quanta t = t.tstar

@@ -36,29 +36,20 @@ val build :
     quantum] is below [Sys.max_array_length] (see
     {!Tables.quanta_count}); also on [kmax < 1]. *)
 
-val prefix_view : ?kmax:int -> t -> horizon:float -> t
-(** [prefix_view t ~horizon] is the table for a shorter horizon,
-    sharing [t]'s buffers: a DP cell (n, k) never depends on the
-    horizon or on rows above k, so the top-left prefix of a horizon-T
-    table {e is} the horizon-T' table for any T' <= T (same params and
-    quantum, [kmax] capped at the parent's). Cell-identical to a fresh
-    build at [horizon] with the same effective [kmax] — the property
-    suite checks this. O(kmax × T'/u) time for the recomputed
-    [best_k] row and one small array; {!bytes} of the view charges
-    only that row, never the shared buffers. Raises [Invalid_argument]
-    when [horizon] exceeds the parent's, is below one quantum, or is not
-    finite. *)
-
-val is_view : t -> bool
-(** Whether this table borrows another build's buffers
-    (see {!prefix_view}). *)
-
 val suggested_kmax : params:Fault.Params.t -> horizon:float -> int
 (** A generous cap on the useful number of checkpoints: roughly four
     times the Young/Daly count over the horizon, plus slack; never more
     than the exact bound [T/C]. When [C = 0] (free checkpoints) the
     exact bound does not exist and the cap degrades to one checkpoint
     per time unit. *)
+
+val effective_kmax :
+  params:Fault.Params.t -> quantum:float -> horizon:float -> int
+(** The {!kmax} of [build ~kmax:(suggested_kmax ~params ~horizon)
+    ~params ~quantum ~horizon ()], without building it: the suggested
+    cap clipped to the exact bound floor(Tq/Cq) (at least 1). It never
+    decreases with the horizon. Raises like {!build} on an invalid
+    quantum or horizon. *)
 
 val quantum : t -> float
 val horizon_quanta : t -> int
@@ -67,9 +58,7 @@ val kmax : t -> int
 val bytes : t -> int
 (** Exact resident footprint of the tables in bytes (the {!Tables}
     buffers plus the flat argmax row) — what a memory-bounded cache
-    charges for holding this build. A {!prefix_view} charges only its
-    private argmax row: the shared buffers are the parent's, and
-    counting them twice would double-charge the cache's byte bound. *)
+    charges for holding this build. *)
 
 val expected_work_q : t -> n:int -> k:int -> delta:bool -> float
 (** [E(n, k, δ)] in time units (quanta × u). *)

@@ -19,21 +19,31 @@
     {!Dp.best_k} equals {!plan_q} (a validation of both implementations
     and of the paper's formulation). So this table, at O(T*²) rather
     than O(T*²·kmax), is what the figures compile their DP strategies
-    from; {!Dp} remains for callers that cap [k] (the serve daemon's
-    [kleft]). *)
+    from. {!Dp} remains for a cap on [k] that binds: the serve daemon
+    answers from this table until a client's [kleft] is below
+    {!plan_length}. *)
 
 type t
 
 val build : params:Fault.Params.t -> quantum:float -> horizon:float -> unit -> t
 (** Same rounding conventions and quantum/horizon validation as
     {!Dp.build}; cost is quadratic in the number of quanta (no [kmax]
-    factor). *)
+    factor). Like a {!Dp} cell, [V(n, δ)] never depends on the
+    horizon: a table answers every shorter horizon as it is. *)
 
 val value_q : t -> n:int -> delta:bool -> float
 (** [V(n, δ)] in time units. *)
 
 val value : t -> tleft:float -> float
 (** [V] at [tleft] time units (rounded down to quanta), fresh start. *)
+
+val first_checkpoint_q : t -> n:int -> delta:bool -> int
+(** Completion quantum of the first checkpoint of the plan from
+    [(n, δ)]; 0 when nothing can be saved. O(1). *)
+
+val plan_length : t -> n:int -> delta:bool -> int
+(** Number of checkpoints of the plan from [(n, δ)], i.e. the length
+    of {!plan_q}, without unrolling it. O(1). *)
 
 val plan_q : t -> n:int -> delta:bool -> int list
 (** Failure-free plan (checkpoint completion quanta) from the argmax
@@ -47,5 +57,5 @@ val quantum : t -> float
 val horizon_quanta : t -> int
 
 val bytes : t -> int
-(** Exact resident footprint of the value/argmax arrays in bytes, for
-    cache memory accounting. *)
+(** Exact resident footprint of the value, argmax and plan-length
+    arrays in bytes, for cache memory accounting. *)

@@ -16,30 +16,16 @@ let quanta_count ~who ~quantum ~horizon =
   int_of_float (floor q)
 
 module F = struct
-  (* [stride] is the row pitch in the flat buffer: equal to [cols] for
-     an owning table, equal to the parent's stride for a prefix view
-     (whose logical [cols] is smaller). All index arithmetic goes
-     through it, so views work transparently through both the safe
-     accessors and the [data]/[row] hot path. *)
-  type t = { rows : int; cols : int; stride : int; owner : bool; data : farr }
+  type t = { rows : int; cols : int; data : farr }
 
   let create ~rows ~cols =
     check_dims ~what:"F.create" rows cols;
     let data = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout (rows * cols) in
     Bigarray.Array1.fill data 0.0;
-    { rows; cols; stride = cols; owner = true; data }
+    { rows; cols; data }
 
   let rows t = t.rows
   let cols t = t.cols
-  let is_view t = not t.owner
-
-  let view t ~rows ~cols =
-    check_dims ~what:"F.view" rows cols;
-    if rows > t.rows || cols > t.cols then
-      invalid_arg
-        (Printf.sprintf "Tables.F.view: %d x %d outside parent %d x %d" rows
-           cols t.rows t.cols);
-    { rows; cols; stride = t.stride; owner = false; data = t.data }
 
   let check t r c =
     if r < 0 || r >= t.rows || c < 0 || c >= t.cols then
@@ -48,26 +34,21 @@ module F = struct
 
   let get t r c =
     check t r c;
-    Bigarray.Array1.unsafe_get t.data ((r * t.stride) + c)
+    Bigarray.Array1.unsafe_get t.data ((r * t.cols) + c)
 
   let set t r c x =
     check t r c;
-    Bigarray.Array1.unsafe_set t.data ((r * t.stride) + c) x
+    Bigarray.Array1.unsafe_set t.data ((r * t.cols) + c) x
 
   let data t = t.data
 
   let row t r =
     if r < 0 || r >= t.rows then
       invalid_arg (Printf.sprintf "Tables.F.row: %d outside %d rows" r t.rows);
-    r * t.stride
+    r * t.cols
 
-  let stride t = t.stride
-
-  (* A view borrows its parent's buffer: it owns no bytes of its own,
-     so memory accounting (the cache byte bound) must not charge the
-     shared buffer twice. *)
-  let words t = if t.owner then t.rows * t.cols else 0
-  let bytes t = if t.owner then 8 * t.rows * t.cols else 0
+  let words t = t.rows * t.cols
+  let bytes t = 8 * t.rows * t.cols
 end
 
 module I = struct
@@ -75,7 +56,7 @@ module I = struct
     | I16 of (int, Bigarray.int16_signed_elt, Bigarray.c_layout) Bigarray.Array1.t
     | I32 of (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  type t = { rows : int; cols : int; stride : int; owner : bool; buf : buf }
+  type t = { rows : int; cols : int; buf : buf }
 
   let make_buf ~what ~cells ~max_value =
     if max_value < 0 then
@@ -94,25 +75,11 @@ module I = struct
 
   let create ~rows ~cols ~max_value =
     check_dims ~what:"I.create" rows cols;
-    {
-      rows;
-      cols;
-      stride = cols;
-      owner = true;
-      buf = make_buf ~what:"I.create" ~cells:(rows * cols) ~max_value;
-    }
+    let buf = make_buf ~what:"I.create" ~cells:(rows * cols) ~max_value in
+    { rows; cols; buf }
 
   let rows t = t.rows
   let cols t = t.cols
-  let is_view t = not t.owner
-
-  let view t ~rows ~cols =
-    check_dims ~what:"I.view" rows cols;
-    if rows > t.rows || cols > t.cols then
-      invalid_arg
-        (Printf.sprintf "Tables.I.view: %d x %d outside parent %d x %d" rows
-           cols t.rows t.cols);
-    { rows; cols; stride = t.stride; owner = false; buf = t.buf }
 
   let check t r c =
     if r < 0 || r >= t.rows || c < 0 || c >= t.cols then
@@ -121,14 +88,14 @@ module I = struct
 
   let get t r c =
     check t r c;
-    let i = (r * t.stride) + c in
+    let i = (r * t.cols) + c in
     match t.buf with
     | I16 a -> Bigarray.Array1.unsafe_get a i
     | I32 a -> Int32.to_int (Bigarray.Array1.unsafe_get a i)
 
   let set t r c v =
     check t r c;
-    let i = (r * t.stride) + c in
+    let i = (r * t.cols) + c in
     match t.buf with
     | I16 a -> Bigarray.Array1.unsafe_set a i v
     | I32 a -> Bigarray.Array1.unsafe_set a i (Int32.of_int v)
@@ -137,7 +104,7 @@ module I = struct
     if Array.length src <> t.cols then
       invalid_arg "Tables.I.set_row: source length is not the column count";
     if r < 0 || r >= t.rows then invalid_arg "Tables.I.set_row: row outside table";
-    let off = r * t.stride in
+    let off = r * t.cols in
     match t.buf with
     | I16 a ->
         for c = 0 to t.cols - 1 do
@@ -150,7 +117,7 @@ module I = struct
         done
 
   let bytes_per_cell t = match t.buf with I16 _ -> 2 | I32 _ -> 4
-  let bytes t = if t.owner then t.rows * t.cols * bytes_per_cell t else 0
+  let bytes t = t.rows * t.cols * bytes_per_cell t
   let words t = (bytes t + 7) / 8
 end
 

@@ -48,43 +48,25 @@ module F : sig
   val rows : t -> int
   val cols : t -> int
 
-  val view : t -> rows:int -> cols:int -> t
-  (** [view t ~rows ~cols] is a zero-copy prefix of [t]: the top-left
-      [rows × cols] sub-matrix, sharing [t]'s buffer. Cell [(r, c)] of
-      the view is cell [(r, c)] of the parent — this is what lets a
-      horizon-T DP table answer any horizon T' ≤ T lookup. Views of
-      views compose. Raises [Invalid_argument] when the requested shape
-      exceeds the parent's. *)
-
-  val is_view : t -> bool
-
   val get : t -> int -> int -> float
   (** [get t r c]; bounds-checked. *)
 
   val set : t -> int -> int -> float -> unit
 
   val data : t -> farr
-  (** The flat buffer; element [(r, c)] lives at [row t r + c]. For a
-      view this is the {e parent's} buffer. *)
+  (** The flat buffer; element [(r, c)] lives at [row t r + c]. *)
 
   val row : t -> int -> int
-  (** Offset of row [r] in {!data} ([r * stride], where the stride is
-      the owning table's column count). Raises [Invalid_argument] when
-      [r] is outside [0, rows). *)
-
-  val stride : t -> int
-  (** Row pitch of {!data}; equals [cols] for an owning table and the
-      parent's stride for a view. *)
+  (** Offset of row [r] in {!data} ([r * cols]). Raises
+      [Invalid_argument] when [r] is outside [0, rows). *)
 
   val words : t -> int
-  (** Heap footprint in 8-byte words (for bench accounting). 0 for a
-      view — the parent owns the buffer. *)
+  (** Heap footprint in 8-byte words (for bench accounting). *)
 
   val bytes : t -> int
   (** Exact buffer footprint in bytes: [8 * rows * cols]. The unit the
       cache memory bound is expressed in — no guessing from [words]
-      rounding. A view reports 0: its buffer belongs to the parent
-      table, and charging it again would double-count the bytes. *)
+      rounding. *)
 end
 
 module I : sig
@@ -99,11 +81,6 @@ module I : sig
   val rows : t -> int
   val cols : t -> int
 
-  val view : t -> rows:int -> cols:int -> t
-  (** Zero-copy top-left prefix sharing the parent's buffer, as
-      {!F.view}. *)
-
-  val is_view : t -> bool
   val get : t -> int -> int -> int
   val set : t -> int -> int -> int -> unit
 
@@ -115,8 +92,7 @@ module I : sig
 
   val bytes : t -> int
   (** Exact buffer footprint in bytes:
-      [rows * cols * bytes_per_cell]. 0 for a view (the parent owns the
-      buffer; see {!F.bytes}). *)
+      [rows * cols * bytes_per_cell]. *)
 
   val words : t -> int
 end

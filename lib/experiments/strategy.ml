@@ -60,15 +60,12 @@ module Cache = struct
         _ ) ->
         false
 
-  (* Same platform and kind at any horizon: what the horizon range
-     query below searches for. *)
-  let same_family a b =
+  let equal_key a b =
     let p = a.params and p' = b.params in
-    same p.Fault.Params.lambda p'.Fault.Params.lambda
+    same a.horizon b.horizon
+    && same p.Fault.Params.lambda p'.Fault.Params.lambda
     && same p.c p'.c && same p.r p'.r && same p.d p'.d
     && same_kind a.kind b.kind
-
-  let equal_key a b = same a.horizon b.horizon && same_family a b
 
   module Store = Hashtbl.Make (struct
     type t = key
@@ -81,11 +78,16 @@ module Cache = struct
     let hash = Hashtbl.hash
   end)
 
+  (* Serve's slot for one (params, quantum): the k-free table at the
+     longest horizon asked so far, plus the k-indexed one there once a
+     kleft cap bound. *)
+  type serve = { horizon : float; opt : Core.Optimal.t; dp : Core.Dp.t option }
+
   type table =
     | T_threshold of Core.Threshold.table
-    | T_dp of Core.Dp.t
     | T_optimal of Core.Optimal.t
     | T_renewal of Core.Dp_renewal.t
+    | T_serve of serve
 
   (* What the memory bound charges per table: the exact buffer bytes
      reported by each core's [bytes] accessor (threshold tables are one
@@ -93,12 +95,13 @@ module Cache = struct
      quadratic DP buffers, so they are not modelled. *)
   let table_bytes = function
     | T_threshold tbl -> 8 * Array.length tbl.Core.Threshold.thresholds
-    | T_dp dp -> Core.Dp.bytes dp
     | T_optimal opt -> Core.Optimal.bytes opt
     | T_renewal dp -> Core.Dp_renewal.bytes dp
+    | T_serve { opt; dp; _ } ->
+        Core.Optimal.bytes opt
+        + Option.fold ~none:0 ~some:Core.Dp.bytes dp
 
-  (* Each slot keeps its key for the scans that start from the slot:
-     the horizon range query and eviction. *)
+  (* Each slot keeps its store key for eviction. *)
   type slot = { key : key; table : table; size : int; mutable stamp : int }
 
   type t = {
@@ -185,13 +188,19 @@ module Cache = struct
         t.resident <- t.resident - slot.size;
         t.evictions <- t.evictions + 1
 
+  (* A serve slot is stored under its platform and quantum alone, and
+     answers every horizon up to its own; other kinds match exactly. *)
+  let store_key key =
+    match key.kind with Dp _ -> { key with horizon = 0.0 } | _ -> key
+
   (* Store [table] under [key] (lock held), then shed least-recently-used
      entries until back under the bound, but never the entry just
      stored: it holds the newest stamp, and the [> 1] guard keeps it
      when it alone exceeds the byte bound — a lone oversized table must
-     stay answerable. A replace (two racing builders of one key) must
-     not double-charge the bytes. *)
+     stay answerable. Replacing a slot (a longer serve horizon, or the
+     k-indexed table joining it) must not double-charge the bytes. *)
   let add t key table =
+    let key = store_key key in
     (match Store.find_opt t.store key with
     | Some old -> t.resident <- t.resident - old.size
     | None -> ());
@@ -201,90 +210,52 @@ module Cache = struct
     t.resident <- t.resident + slot.size;
     while over_bound t && Store.length t.store > 1 do
       evict_oldest t
-    done;
-    slot
-
-  (* Horizon range query, DP tables only (lock held): a DP cell never
-     depends on the horizon, so a resident build for the same platform
-     and quantum at a longer horizon answers this lookup through a
-     zero-copy prefix (Dp.prefix_view). The view is materialised once,
-     cached under the exact key it answers — later lookups are plain
-     exact hits — and it never counts as a build: its slot charges only
-     the private argmax row (the shared buffers stay the parent's; see
-     the view accounting test). The smallest covering horizon wins, so
-     the recomputed best-k row is as short as possible. A view can
-     itself cover an even shorter horizon later: prefix views compose.
-     Eviction may drop the parent before the view — the view keeps the
-     shared buffers alive through the GC, it only loses them their
-     byte charge. *)
-  let materialize_view t key =
-    match key.kind with
-    | Dp _ -> (
-        let parent =
-          Store.fold
-            (fun _ slot acc ->
-              if slot.key.horizon > key.horizon && same_family slot.key key
-              then
-                match acc with
-                | Some best when best.key.horizon <= slot.key.horizon -> acc
-                | _ -> Some slot
-              else acc)
-            t.store None
-        in
-        match parent with
-        | Some ({ table = T_dp dp; _ } as pslot) ->
-            touch t pslot;
-            let { params; horizon; _ } = key in
-            let kmax = Core.Dp.suggested_kmax ~params ~horizon in
-            Some (add t key (T_dp (Core.Dp.prefix_view ~kmax dp ~horizon)))
-        | _ -> None)
-    | _ -> None
+    done
 
   (* Lookups touch the LRU stamp: a table an [ensure] or a [compile]
-     just used is the one a bounded cache should keep. An exact miss
-     falls through to the horizon range query, so [mem], [hit] and
-     [find] agree on what is answerable without a build. *)
+     just used is the one a bounded cache should keep. *)
   let lookup t key =
-    match Store.find_opt t.store key with
+    match Store.find_opt t.store (store_key key) with
+    | Some { table = T_serve s; _ } when not (key.horizon <= s.horizon) -> None
     | Some slot ->
         touch t slot;
-        Some slot
-    | None -> materialize_view t key
+        Some slot.table
+    | None -> None
 
-  let mem t key = locked t (fun () -> lookup t key <> None)
+  let mem t key = locked t (fun () -> Option.is_some (lookup t key))
 
-  (* [mem] that counts the hit under the same lock: {!ensure}'s path. *)
-  let hit t key =
+  (* A lookup that counts the hit under the same lock: {!ensure}'s and
+     serve's path. *)
+  let fetch t key =
     locked t (fun () ->
-        let found = lookup t key <> None in
-        if found then t.hits <- t.hits + 1;
+        let found = lookup t key in
+        if Option.is_some found then t.hits <- t.hits + 1;
         found)
 
-  let find t key =
-    locked t (fun () -> Option.map (fun slot -> slot.table) (lookup t key))
+  let find t key = locked t (fun () -> lookup t key)
 
-  (* The k-indexed table keeps the suggested_kmax cap serve's answers
-     and drills were pinned with; the k-free one needs no cap. *)
+  let serve_of ~params ~quantum ~horizon =
+    let opt = Core.Optimal.build ~params ~quantum ~horizon () in
+    { horizon; opt; dp = None }
+
   let build { params; horizon; kind } =
     match kind with
     | Threshold_numerical ->
         T_threshold (Core.Threshold.table_numerical ~params ~up_to:horizon)
     | Threshold_first_order ->
         T_threshold (Core.Threshold.table_first_order ~params ~up_to:horizon)
-    | Dp { quantum } ->
-        T_dp
-          (Core.Dp.build
-             ~kmax:(Core.Dp.suggested_kmax ~params ~horizon)
-             ~params ~quantum ~horizon ())
     | Optimal { quantum } ->
         T_optimal (Core.Optimal.build ~params ~quantum ~horizon ())
+    | Dp { quantum } -> T_serve (serve_of ~params ~quantum ~horizon)
     | Renewal { quantum; dist } ->
         T_renewal (Core.Dp_renewal.build ~params ~dist ~quantum ~horizon ())
 
+  (* Racing builders of one key waste a build; a race that puts a
+     shorter serve slot last costs a rebuild, never a wrong answer. *)
   let insert t key table =
     locked t (fun () ->
         t.builds <- t.builds + 1;
-        ignore (add t key table : slot))
+        add t key table)
 end
 
 type error =
@@ -317,12 +288,50 @@ let find_renewal cache ~params ~horizon kind =
   | Some (Cache.T_renewal t) -> Ok t
   | _ -> missing kind ~params ~horizon
 
-(* Raw k-indexed table lookup for callers that answer table queries
-   directly (the serve daemon) instead of compiling a policy. *)
+(* Serve's slot: a hit when its horizon covers [horizon], else a build
+   there that replaces a shorter slot. *)
+let serve_slot cache ~params ~horizon ~quantum =
+  let key = Cache.key ~params ~horizon (Cache.Dp { quantum }) in
+  match Cache.fetch cache key with
+  | Some (Cache.T_serve s) -> s
+  | _ ->
+      let s = Cache.serve_of ~params ~quantum ~horizon in
+      Cache.insert cache key (Cache.T_serve s);
+      s
+
+let serve_table cache ~params ~horizon ~quantum =
+  (serve_slot cache ~params ~horizon ~quantum).opt
+
+(* A cap binds only below the length of the k-free re-plan it cuts, and
+   a cell (n, k) reads no row above k, so rows up to the longest such
+   plan minus one hold every binding answer. The new table replaces its
+   slot by one holding both. *)
+let serve_dp_table cache ~params ~horizon ~quantum =
+  let key = Cache.key ~params ~horizon (Cache.Dp { quantum }) in
+  let s =
+    match Cache.find cache key with
+    | Some (Cache.T_serve s) -> s
+    | _ -> serve_slot cache ~params ~horizon ~quantum
+  in
+  match s.dp with
+  | Some dp -> dp
+  | None ->
+      let longest = ref 1 in
+      for n = 1 to Core.Optimal.horizon_quanta s.opt do
+        let len = Core.Optimal.plan_length s.opt ~n ~delta:true in
+        longest := max !longest len
+      done;
+      let dp =
+        Core.Dp.build ~kmax:(max 1 (!longest - 1)) ~params ~quantum
+          ~horizon:s.horizon ()
+      in
+      Cache.insert cache key (Cache.T_serve { s with dp = Some dp });
+      dp
+
 let dp_table cache ~params ~horizon ~quantum =
   let kind = Cache.Dp { quantum } in
   match Cache.find cache (Cache.key ~params ~horizon kind) with
-  | Some (Cache.T_dp t) -> Ok t
+  | Some (Cache.T_serve { dp = Some t; _ }) -> Ok t
   | _ -> missing kind ~params ~horizon
 
 type entry = {
@@ -677,7 +686,8 @@ let build_all ?pool cache keys =
 
 (* Count a hit for each resident table and build the others. *)
 let ensure_keys ?pool cache keys =
-  match List.filter (fun key -> not (Cache.hit cache key)) (distinct keys) with
+  let absent key = Option.is_none (Cache.fetch cache key) in
+  match List.filter absent (distinct keys) with
   | [] -> ()
   | missing -> build_all ?pool cache missing
 
@@ -836,11 +846,6 @@ let keys_of ~params ~horizon ~dist strategies =
 
 let ensure ?pool cache ~params ~horizon ~dist strategies =
   ensure_keys ?pool cache (keys_of ~params ~horizon ~dist strategies)
-
-let ensure_dp_table cache ~params ~horizon ~quantum =
-  let key = Cache.key ~params ~horizon (Cache.Dp { quantum }) in
-  ensure_keys cache [ key ];
-  dp_table cache ~params ~horizon ~quantum
 
 type warm_point = {
   wp_params : Fault.Params.t;

@@ -10,7 +10,7 @@
 
     Compilation is backed by a campaign-wide {!Cache} of the expensive
     numerical tables ({!Core.Threshold}, {!Core.Optimal},
-    {!Core.Dp_renewal}, and serve's {!Core.Dp}), keyed bit-exactly by
+    {!Core.Dp_renewal}, and serve's slots), keyed bit-exactly by
     [(params, horizon, kind)] so each table is built at most once per
     campaign no matter how many sub-plots, figures or strategies request
     it. *)
@@ -39,24 +39,25 @@ module Cache : sig
       answerable.
 
       The figures' strategies use the threshold, [Optimal] and
-      [Renewal] kinds; serve uses [Dp]. Lookups of [Dp] keys, and only
-      those, are range queries over the key's horizon component (a
-      figure sweep compiles at its block's longest horizon and needs
-      none): a resident build for the same platform and quantum at
-      horizon T answers any lookup at T' <= T through a zero-copy
-      prefix view ({!Core.Dp.prefix_view}), materialised once and
-      cached under the exact key it answers. A view counts as a
-      {e hit}, never a build, and its slot charges only the recomputed
-      best-k row — the shared table buffers stay charged to the parent
-      build, so a horizon sweep costs one table's bytes, not the
-      grid's. *)
+      [Renewal] kinds, keyed by exact horizon (a figure sweep compiles
+      at its block's longest horizon). Serve uses [Dp] keys, whose
+      identity is the platform and quantum alone: one {e serve slot}
+      per [(params, quantum)] holds the k-free {!Core.Optimal} table at
+      the longest horizon asked so far, and answers every horizon up to
+      it (V(n, δ) does not depend on the horizon); a longer horizon
+      rebuilds the slot there. The slot gains the k-indexed
+      {!Core.Dp} table at its horizon the first time a client's
+      [kleft] cap binds ({!serve_dp_table}); that build counts as one
+      more build and its bytes join the slot's. A slot is one table to
+      [max_tables] and is evicted whole. *)
 
   type kind =
     | Threshold_numerical
     | Threshold_first_order
     | Dp of { quantum : float }
-        (** The k-indexed Section 6 table, built by serve's
-            {!ensure_dp_table} only. *)
+        (** Serve's slot for a platform and quantum, at any horizon
+            ({!serve_table}, {!serve_dp_table}); no strategy requires
+            it. *)
     | Optimal of { quantum : float }
         (** The k-free table all five DP-backed strategies compile
             from: [dp], [adaptive-dp], [proactive-window],
@@ -76,24 +77,30 @@ module Cache : sig
       the horizon and the kind's quantum and distribution parameters —
       compares with [Int64.bits_of_float]. [-0.0] differs from [0.0],
       and a NaN equals only a NaN with the same payload. Exact lookups,
-      the horizon range query (same params and kind, longer horizon),
       {!warm_up}'s dedupe and [Serve.Handler.handle_batch]'s per-batch
-      memo all use it. *)
+      memo use it; a serve slot compares the same way on everything
+      but the horizon, which it covers when not shorter. *)
 
   val create : ?max_tables:int -> ?max_bytes:int -> unit -> t
   (** Unbounded unless a bound is given. [max_tables] caps the resident
-      table count, [max_bytes] the summed {!Core.Dp.bytes}-style buffer
-      footprint; either alone or both together. Every table is built
-      serially ({!Core.Dp.build}); sweeps build distinct tables at once
-      through {!warm_up}'s pool. Raises [Invalid_argument] on a bound
-      [< 1]. *)
+      table count (a serve slot counts once), [max_bytes] the summed
+      {!Core.Optimal.bytes}-style buffer footprint; either alone or both
+      together. Every table is built serially; sweeps build distinct
+      tables at once through {!warm_up}'s pool. Raises
+      [Invalid_argument] on a bound [< 1]. *)
+
+  val mem : t -> key -> bool
+  (** Whether a lookup of the key would be answered without a build
+      (for a [Dp] key: whether a slot covers its horizon). Read-only:
+      counts no hit, but refreshes the entry's recency. *)
 
   val builds : t -> int
-  (** Number of tables built so far (cache misses). A prefix view
-      materialised by the horizon range query is not a build. *)
+  (** Number of tables built so far (cache misses, plus k-indexed
+      tables joining a serve slot). *)
 
   val hits : t -> int
-  (** Number of {!ensure} requests answered from the cache. *)
+  (** Number of {!ensure} and {!serve_table} lookups answered from the
+      cache. *)
 
   val evictions : t -> int
   (** Number of tables dropped by the LRU bound (0 when unbounded). *)
@@ -227,17 +234,27 @@ val warm_up_specs : ?pool:Parallel.Pool.t -> Cache.t -> Spec.t list -> int
 (** [warm_up] over the concatenated {!warm_points_of_spec} of a
     campaign's specs. *)
 
-val ensure_dp_table :
-  Cache.t ->
-  params:Fault.Params.t ->
-  horizon:float ->
-  quantum:float ->
-  (Core.Dp.t, error) result
-(** The k-indexed Section 6 table at [(params, horizon, quantum)],
-    built on a miss: serve's path to its next-checkpoint answers. The
-    lookup counts exactly as an {!ensure} of one [Cache.Dp] key
-    does — a hit when the table or a longer-horizon parent is resident,
-    else a build. *)
+val serve_table :
+  Cache.t -> params:Fault.Params.t -> horizon:float -> quantum:float ->
+  Core.Optimal.t
+(** Serve's k-free table for [(params, quantum)], covering at least
+    [horizon]: one lock round trip and a counted hit when the slot's
+    horizon covers it, else a counted build at [horizon] that replaces
+    a shorter slot (and drops its k-indexed table). Raises
+    [Invalid_argument] when the build does (an invalid quantum or
+    horizon). *)
+
+val serve_dp_table :
+  Cache.t -> params:Fault.Params.t -> horizon:float -> quantum:float ->
+  Core.Dp.t
+(** The k-indexed Section 6 table of the slot covering [horizon], built
+    at the slot's horizon on first need (a counted build, its bytes
+    charged to the slot). A [kleft] cap binds only below the length of
+    the k-free re-plan it cuts, so the table keeps the rows up to the
+    slot's longest re-plan minus one: a DP cell (n, k) depends neither
+    on the horizon nor on rows above k, so those rows hold every cell a
+    binding cap at any covered horizon reads. Finding the slot counts
+    no hit: {!serve_table} counted the query's lookup. *)
 
 val dp_table :
   Cache.t ->
@@ -245,9 +262,8 @@ val dp_table :
   horizon:float ->
   quantum:float ->
   (Core.Dp.t, error) result
-(** {!ensure_dp_table} without the build and without counting a hit:
-    read-only, the table must have been built by {!ensure_dp_table}
-    first. *)
+(** The k-indexed table of the slot covering [horizon], if a binding
+    cap has built it: read-only, counts no hit and builds nothing. *)
 
 val compile :
   Cache.t ->

@@ -16,51 +16,59 @@ let create ?(budget = infinity) ?now ?(slow = 0.0) ?(sleep = Unix.sleepf)
 
 let cache t = t.cache
 
-let no_plan = { Protocol.next = 0.0; k = 0; work = 0.0 }
+let no_plan = Protocol.Answer { Protocol.next = 0.0; k = 0; work = 0.0 }
 
-let answer dp q =
-  let u = Core.Dp.quantum dp in
-  let tq = Core.Dp.horizon_quanta dp in
-  let kmax = Core.Dp.kmax dp in
+(* The answer is the one of the k-indexed table built at the query's
+   horizon with the suggested kmax, kmax(h): a fresh plan (δ = 0) takes
+   the best k, a re-plan (δ = 1) the best m <= min (max 1 kleft) kmax(h)
+   (Equation (8)'s recursion). The k-free table gives the same bits
+   while that cap is not below the length of its plan. kmax(h) alone
+   does not bind (it is about four times the Young/Daly count, and the
+   plan's segments each span more than C), so a fresh plan comes from
+   the k-free table, and only a re-plan whose kleft binds reads the
+   slot's k-indexed table. *)
+let answer t q opt =
+  let u = Core.Optimal.quantum opt in
+  let { Protocol.params; horizon; quantum; recovering = delta; _ } = q in
+  let tq = Core.Tables.quanta_count ~who:"Handler" ~quantum ~horizon in
   (* Same clamp as Dp.clamp_n: remaining time in whole quanta. *)
   let n = int_of_float (Float.floor ((q.Protocol.tleft /. u) +. 1e-9)) in
   let n = if n < 0 then 0 else min n tq in
-  let state =
-    if n = 0 then None
-    else if not q.Protocol.recovering then
-      (* Fresh plan: δ = 0, the precomputed best initial k. *)
-      match Core.Dp.best_k dp ~n ~delta:false with
-      | 0 -> None
-      | k -> Some (k, false)
+  let len = if n = 0 then 0 else Core.Optimal.plan_length opt ~n ~delta in
+  let cap =
+    if not delta then len
     else
-      (* Re-plan after a failure: δ = 1, best m within the checkpoints
-         the client still has — Equation (8)'s recursion, with kleft
-         playing the k_remaining the simulation policy tracks. *)
-      let cap =
-        match q.Protocol.kleft with
-        | None -> kmax
-        | Some k -> min (max 1 k) kmax
-      in
-      match Core.Dp.arg_best_m dp ~n ~k:cap with
-      | 0 -> None
-      | m -> Some (m, true)
+      let kmax = Core.Dp.effective_kmax ~params ~quantum ~horizon in
+      match q.Protocol.kleft with Some k -> min (max 1 k) kmax | None -> kmax
   in
-  match state with
-  | None -> Protocol.Answer no_plan
-  | Some (k, delta) ->
-      Protocol.Answer
-        {
-          Protocol.next =
-            float_of_int (Core.Dp.first_checkpoint_q dp ~n ~k ~delta) *. u;
-          k;
-          work = Core.Dp.expected_work_q dp ~n ~k ~delta;
-        }
+  if len = 0 then no_plan
+  else if len <= cap then
+    Protocol.Answer
+      {
+        Protocol.next =
+          float_of_int (Core.Optimal.first_checkpoint_q opt ~n ~delta) *. u;
+        k = len;
+        work = Core.Optimal.value_q opt ~n ~delta;
+      }
+  else
+    let dp =
+      Experiments.Strategy.serve_dp_table t.cache ~params ~horizon ~quantum
+    in
+    match Core.Dp.arg_best_m dp ~n ~k:cap with
+    | 0 -> no_plan
+    | k ->
+        Protocol.Answer
+          {
+            Protocol.next =
+              float_of_int (Core.Dp.first_checkpoint_q dp ~n ~k ~delta) *. u;
+            k;
+            work = Core.Dp.expected_work_q dp ~n ~k ~delta;
+          }
 
-(* One cache round trip: the k-indexed table, built on a miss. *)
+(* One cache round trip: the slot's k-free table, built on a miss. *)
 let fetch_table t q =
-  Result.map_error Experiments.Strategy.error_message
-    (Experiments.Strategy.ensure_dp_table t.cache ~params:q.Protocol.params
-       ~horizon:q.Protocol.horizon ~quantum:q.Protocol.quantum)
+  Experiments.Strategy.serve_table t.cache ~params:q.Protocol.params
+    ~horizon:q.Protocol.horizon ~quantum:q.Protocol.quantum
 
 (* Per-query policy (budget, chaos, injected slowness) around a
    pluggable table fetch — [query] fetches straight from the cache,
@@ -77,13 +85,10 @@ let query_with t ~fetch q =
   if t.slow > 0.0 then t.sleep t.slow;
   if Robust.Deadline.expired deadline then Protocol.Timeout
   else
-    (* The build runs to completion even when it overruns the budget:
-       the table stays cached, the client's retry will hit it. *)
-    match fetch q with
-    | Error msg -> Protocol.Failed msg
-    | Ok dp ->
-        if Robust.Deadline.expired deadline then Protocol.Timeout
-        else answer dp q
+    (* A build runs to completion even when it overruns the budget: the
+       table stays cached, the client's retry will hit it. *)
+    let reply = answer t q (fetch q) in
+    if Robust.Deadline.expired deadline then Protocol.Timeout else reply
 
 let handle_with t ~fetch request =
   match request with
@@ -110,9 +115,9 @@ let handle_payload t payload =
 
 (* Answer a batch sharing one cache round trip per distinct table: the
    first query against a (params, horizon, quantum) triple pays the
-   ensure-and-lookup, its batchmates reuse the result without touching
-   the cache lock. Triples match by the cache's own key equality, so a
-   batch builds exactly the tables sequential handling would. Per-query
+   lookup, its batchmates reuse the result without touching the cache
+   lock. Triples match by the cache's own key equality, so a batch
+   builds exactly the tables sequential handling would. Per-query
    policy (budget, chaos, slow) still runs per member, in order, so a
    batched timeout drill behaves exactly like a sequential one. *)
 let handle_batch t requests =
@@ -124,11 +129,11 @@ let handle_batch t requests =
         (Cache.Dp { quantum = q.Protocol.quantum })
     in
     match List.find_opt (fun (k, _) -> Cache.equal_key k key) !memo with
-    | Some (_, r) -> r
+    | Some (_, opt) -> opt
     | None ->
-        let r = fetch_table t q in
-        memo := (key, r) :: !memo;
-        r
+        let opt = fetch_table t q in
+        memo := (key, opt) :: !memo;
+        opt
   in
   List.map
     (function

@@ -12,7 +12,7 @@
       cache hit: the budget bounds one request's latency, it does not
       waste the work.
     - {e bounded cache}: queries fetch their table through
-      {!Experiments.Strategy.ensure_dp_table} on a shared
+      {!Experiments.Strategy.serve_table} on a shared
       {!Experiments.Strategy.Cache}; give {!create} a bounded cache and
       eviction/hit counters flow back through the [stats] request.
     - {e chaos}: an optional {!Robust.Chaos} is consulted once per
@@ -24,13 +24,18 @@
 
     Queries answer with the optimal first-checkpoint completion time
     for the client's remaining reservation, mirroring
-    {!Core.Dp.policy}'s re-planning recursion: fresh plans read the
-    [δ = 0] tables at [best_k]; recovering plans read the [δ = 1]
-    tables at [arg_best_m] capped by the client's [kleft]. That cap is
-    why serve keeps the k-indexed Section 6 table ({!Core.Dp}) while
-    the figures compile from the k-free {!Core.Optimal} one: a client
-    with fewer checkpoints left than the k-free plan uses needs the
-    best plan over at most [kleft] of them. *)
+    {!Core.Dp.policy}'s re-planning recursion on the k-indexed Section 6
+    table built at the query's horizon with
+    {!Core.Dp.suggested_kmax}: fresh plans take the best [k] at
+    [δ = 0], recovering plans the best [m] at [δ = 1] capped by the
+    client's [kleft] (at least 1). Each query reads its platform's serve
+    slot: the k-free {!Core.Optimal} table gives those bits, with
+    [k] = {!Core.Optimal.plan_length}, in O(1) — for a re-plan, when
+    [min (max 1 kleft) kmax(h)] ({!Core.Dp.effective_kmax} at the
+    query's horizon) is not below that length. A binding cap — a client
+    with fewer checkpoints left than the k-free plan uses — reads the
+    slot's k-indexed table ({!Experiments.Strategy.serve_dp_table}),
+    built on the first such query. *)
 
 type t
 

@@ -49,7 +49,7 @@
     until asked (or SIGKILLed). A query whose horizon, quantum or
     [tleft] is NaN or infinite is refused at decode ({!Protocol}), in
     either spelling, so it never builds or caches a table; the cache
-    builds every DP table serially ({!Core.Dp.build}). *)
+    builds every table serially. *)
 
 type config = {
   socket_path : string;

@@ -470,14 +470,7 @@ let test_build_validation () =
       (1e-300, 100.0);
       (1.0, Float.nan);
       (1.0, Float.infinity);
-    ];
-  let parent = build ~horizon:100.0 () in
-  List.iter
-    (fun horizon ->
-      match Dp.prefix_view parent ~horizon with
-      | _ -> Alcotest.failf "prefix view at horizon %g accepted" horizon
-      | exception Invalid_argument _ -> ())
-    [ Float.nan; Float.infinity ]
+    ]
 
 let qcheck_dominance =
   (* Random platforms: the DP optimum must dominate the heuristics on
@@ -508,91 +501,6 @@ let qcheck_dominance =
          check (Core.Policies.young_daly ~params)
          && check (Core.Policies.numerical_optimum ~params ~horizon)
          && check (Sim.Policy.single_final ~params)))
-
-(* Exact table equality through the public accessors: every float cell
-   compared with Float.equal (bit-identity up to NaN canonicalisation,
-   which the DP never produces), every index cell with (=). *)
-let check_tables_identical ~label want got =
-  if Dp.kmax want <> Dp.kmax got then
-    Alcotest.failf "%s: kmax %d vs %d" label (Dp.kmax want) (Dp.kmax got);
-  if Dp.horizon_quanta want <> Dp.horizon_quanta got then
-    Alcotest.failf "%s: tstar %d vs %d" label
-      (Dp.horizon_quanta want)
-      (Dp.horizon_quanta got);
-  for k = 1 to Dp.kmax want do
-    for n = 0 to Dp.horizon_quanta want do
-      let cell what a b =
-        if not (Float.equal a b) then
-          Alcotest.failf "%s: %s(%d, %d) = %h, want %h" label what k n b a
-      in
-      let icell what a b =
-        if a <> b then
-          Alcotest.failf "%s: %s(%d, %d) = %d, want %d" label what k n b a
-      in
-      cell "e0"
-        (Dp.expected_work_q want ~n ~k ~delta:false)
-        (Dp.expected_work_q got ~n ~k ~delta:false);
-      cell "e1"
-        (Dp.expected_work_q want ~n ~k ~delta:true)
-        (Dp.expected_work_q got ~n ~k ~delta:true);
-      icell "ib0"
-        (Dp.first_checkpoint_q want ~n ~k ~delta:false)
-        (Dp.first_checkpoint_q got ~n ~k ~delta:false);
-      icell "ib1"
-        (Dp.first_checkpoint_q want ~n ~k ~delta:true)
-        (Dp.first_checkpoint_q got ~n ~k ~delta:true);
-      icell "argm1" (Dp.arg_best_m want ~n ~k) (Dp.arg_best_m got ~n ~k)
-    done
-  done;
-  for n = 0 to Dp.horizon_quanta want do
-    if Dp.best_k want ~n ~delta:false <> Dp.best_k got ~n ~delta:false then
-      Alcotest.failf "%s: bestk0(%d) = %d, want %d" label n
-        (Dp.best_k got ~n ~delta:false)
-        (Dp.best_k want ~n ~delta:false)
-  done
-
-let qcheck_prefix_view_cell_identical =
-  (* The incremental-reuse contract: the prefix view of a horizon-T
-     table at T' <= T is cell-identical to a fresh T' build, both with
-     the cache's suggested-kmax caps and with the default exact caps. *)
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"prefix view cell-identical to fresh build"
-       ~count:10
-       (QCheck.make
-          QCheck.Gen.(
-            let* lambda = float_range 5e-4 0.03 in
-            let* c = int_range 3 25 in
-            let* r = int_range 0 4 in
-            let* d = int_range 0 6 in
-            let* horizon = int_range 80 240 in
-            let* horizon' = int_range 20 horizon in
-            return
-              ( P.make ~lambda ~c:(float_of_int c) ~r:(float_of_int r)
-                  ~d:(float_of_int d),
-                float_of_int horizon,
-                float_of_int horizon' ))
-          ~print:(fun (p, h, h') ->
-            Printf.sprintf "%s T=%g T'=%g" (P.to_string p) h h'))
-       (fun (params, horizon, horizon') ->
-         (* Default caps. *)
-         let parent = Dp.build ~params ~quantum:1.0 ~horizon () in
-         let fresh = Dp.build ~params ~quantum:1.0 ~horizon:horizon' () in
-         let view = Dp.prefix_view parent ~horizon:horizon' in
-         Alcotest.(check bool) "view flag" true (Dp.is_view view);
-         check_tables_identical ~label:"default kmax" fresh view;
-         (* The caps the cache uses. *)
-         let parent =
-           Dp.build
-             ~kmax:(Dp.suggested_kmax ~params ~horizon)
-             ~params ~quantum:1.0 ~horizon ()
-         in
-         let kmax' = Dp.suggested_kmax ~params ~horizon:horizon' in
-         let fresh =
-           Dp.build ~kmax:kmax' ~params ~quantum:1.0 ~horizon:horizon' ()
-         in
-         let view = Dp.prefix_view ~kmax:kmax' parent ~horizon:horizon' in
-         check_tables_identical ~label:"suggested kmax" fresh view;
-         true))
 
 let () =
   Alcotest.run "dp"
@@ -636,8 +544,5 @@ let () =
             test_last_checkpoint_can_end_early;
         ] );
       ( "properties",
-        [
-          qcheck_dominance;
-          qcheck_prefix_view_cell_identical;
-        ] );
+        [ qcheck_dominance ] );
     ]

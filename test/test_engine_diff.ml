@@ -137,9 +137,9 @@ let policies k ~params =
     St.compile_exn cache ~params ~horizon ~dist s
   in
   let dp () =
-    match St.ensure_dp_table cache ~params ~horizon ~quantum:1.0 with
-    | Ok t -> t
-    | Error e -> failwith (St.error_message e)
+    Core.Dp.build
+      ~kmax:(Core.Dp.suggested_kmax ~params ~horizon)
+      ~params ~quantum:1.0 ~horizon ()
   in
   let both s = (compile s, R.of_policy (compile s)) in
   let yd () =

@@ -413,22 +413,17 @@ let lru_dist = Fault.Trace.Exponential { rate = 0.01 }
 let lru_specs = [ Spec.Dynamic_programming { quantum = 1.0 } ]
 let lru_params lambda = Fault.Params.paper ~lambda ~c:5.0 ~d:0.0
 
-(* serve's path to the k-indexed table: ensure the key, count a hit or
-   a build, return the table *)
-let ensure_dp cache ~params ~horizon ~quantum =
-  match Strategy.ensure_dp_table cache ~params ~horizon ~quantum with
-  | Ok (_ : Core.Dp.t) -> ()
-  | Error e -> Alcotest.fail (Strategy.error_message e)
+(* serve's path: the slot's k-free table, counting a hit or a build *)
+let serve cache ~params ~horizon ~quantum =
+  ignore (Strategy.serve_table cache ~params ~horizon ~quantum : Core.Optimal.t)
 
 let lru_ensure cache lambda =
-  ensure_dp cache ~params:(lru_params lambda) ~horizon:50.0 ~quantum:1.0
+  serve cache ~params:(lru_params lambda) ~horizon:50.0 ~quantum:1.0
 
-let dp_of ?(horizon = 50.0) cache lambda =
-  match
-    Strategy.dp_table cache ~params:(lru_params lambda) ~horizon ~quantum:1.0
-  with
-  | Ok dp -> dp
-  | Error e -> Alcotest.fail (Strategy.error_message e)
+(* Whether a serve slot answers the lookup without a build. *)
+let resident ?(quantum = 1.0) cache params horizon =
+  Strategy.Cache.mem cache
+    (Strategy.Cache.key ~params ~horizon (Strategy.Cache.Dp { quantum }))
 
 let test_lru_eviction_order () =
   let cache = Strategy.Cache.create ~max_tables:2 () in
@@ -473,7 +468,8 @@ let test_lru_byte_bound () =
     (Strategy.Cache.resident_tables cache);
   Alcotest.(check int) "no eviction of the only entry" 0
     (Strategy.Cache.evictions cache);
-  let (_ : Core.Dp.t) = dp_of cache 0.01 in
+  Alcotest.(check bool) "the lone table answers" true
+    (resident cache (lru_params 0.01) 50.0);
   (* ... but a second insert pushes the older one out. *)
   lru_ensure cache 0.02;
   Alcotest.(check int) "second insert evicts the first" 1
@@ -485,15 +481,33 @@ let test_lru_byte_bound () =
     && Strategy.Cache.resident_bytes cache <= one_table + 8)
 
 let test_lru_rebuild_bit_identical () =
+  let params = lru_params 0.01 in
+  let tables cache =
+    ( Strategy.serve_table cache ~params ~horizon:50.0 ~quantum:1.0,
+      Strategy.serve_dp_table cache ~params ~horizon:50.0 ~quantum:1.0 )
+  in
   let reference = Strategy.Cache.create () in
   lru_ensure reference 0.01;
-  let want = dp_of reference 0.01 in
+  let want_opt, want = tables reference in
   let cache = Strategy.Cache.create ~max_tables:1 () in
   lru_ensure cache 0.01;
-  lru_ensure cache 0.02 (* evicts the 0.01 table *);
+  lru_ensure cache 0.02 (* evicts the 0.01 slot *);
   Alcotest.(check int) "evicted" 1 (Strategy.Cache.evictions cache);
   lru_ensure cache 0.01 (* rebuild from scratch *);
-  let got = dp_of cache 0.01 in
+  let got_opt, got = tables cache in
+  for n = 0 to Core.Optimal.horizon_quanta want_opt do
+    List.iter
+      (fun delta ->
+        if
+          Int64.bits_of_float (Core.Optimal.value_q want_opt ~n ~delta)
+          <> Int64.bits_of_float (Core.Optimal.value_q got_opt ~n ~delta)
+          || Core.Optimal.first_checkpoint_q want_opt ~n ~delta
+             <> Core.Optimal.first_checkpoint_q got_opt ~n ~delta
+          || Core.Optimal.plan_length want_opt ~n ~delta
+             <> Core.Optimal.plan_length got_opt ~n ~delta
+        then Alcotest.failf "rebuilt k-free table differs at n=%d" n)
+      [ false; true ]
+  done;
   Alcotest.(check int) "same footprint" (Core.Dp.bytes want)
     (Core.Dp.bytes got);
   Alcotest.(check int) "same kmax" (Core.Dp.kmax want) (Core.Dp.kmax got);
@@ -512,77 +526,11 @@ let test_lru_rebuild_bit_identical () =
     done
   done
 
-(* Exact cell comparison of two DP tables through the public
-   accessors; shared by the rebuild and prefix-view tests. *)
-let check_same_dp ~what want got =
-  Alcotest.(check int) (what ^ ": same kmax") (Core.Dp.kmax want)
-    (Core.Dp.kmax got);
-  Alcotest.(check int)
-    (what ^ ": same horizon")
-    (Core.Dp.horizon_quanta want)
-    (Core.Dp.horizon_quanta got);
-  for n = 0 to Core.Dp.horizon_quanta want do
-    if Core.Dp.best_k want ~n ~delta:false <> Core.Dp.best_k got ~n ~delta:false
-    then Alcotest.failf "%s: best_k differs at n=%d" what n;
-    for k = 1 to Core.Dp.kmax want do
-      if
-        Core.Dp.first_checkpoint_q want ~n ~k ~delta:false
-        <> Core.Dp.first_checkpoint_q got ~n ~k ~delta:false
-        || Core.Dp.expected_work_q want ~n ~k ~delta:false
-           <> Core.Dp.expected_work_q got ~n ~k ~delta:false
-        || Core.Dp.expected_work_q want ~n ~k ~delta:true
-           <> Core.Dp.expected_work_q got ~n ~k ~delta:true
-      then Alcotest.failf "%s: table differs at n=%d k=%d" what n k
-    done
-  done
-
-(* The incremental-reuse contract at the cache level: a sweep over
-   horizons builds one table per distinct params. The largest horizon
-   builds; every shorter one is answered by a zero-copy prefix view
-   that counts as a hit, never a build, and charges only its
-   recomputed best-k row (exact byte arithmetic below). *)
-let test_horizon_sweep_builds_once () =
-  let params = lru_params 0.01 in
-  let cache = Strategy.Cache.create () in
-  let ensure horizon = ensure_dp cache ~params ~horizon ~quantum:1.0 in
-  (* The longest horizon first, then shorter ones: a daemon asked about
-     one platform at several horizons (serve-mixed's hot set). *)
-  ensure 200.0;
-  let parent_bytes = Strategy.Cache.resident_bytes cache in
-  List.iter ensure [ 150.0; 100.0; 50.0 ];
-  Alcotest.(check int) "builds = #distinct params" 1
-    (Strategy.Cache.builds cache);
-  Alcotest.(check int) "every shorter horizon hits" 3
-    (Strategy.Cache.hits cache);
-  Alcotest.(check int) "views cached under their exact keys" 4
-    (Strategy.Cache.resident_tables cache);
-  (* A view's slot charges exactly its best-k row: 8 bytes per column,
-     T/u + 1 columns — the shared buffers stay charged to the parent. *)
-  Alcotest.(check int) "views charge only their best-k rows"
-    (parent_bytes + (8 * (151 + 101 + 51)))
-    (Strategy.Cache.resident_bytes cache);
-  let view = dp_of cache 0.01 ~horizon:100.0 in
-  Alcotest.(check bool) "the short-horizon table is a view" true
-    (Core.Dp.is_view view);
-  (* Cell-identical to a cold build at the short horizon. *)
-  let fresh_cache = Strategy.Cache.create () in
-  ensure_dp fresh_cache ~params ~horizon:100.0 ~quantum:1.0;
-  let fresh = dp_of fresh_cache 0.01 ~horizon:100.0 in
-  Alcotest.(check bool) "the cold build owns its buffers" false
-    (Core.Dp.is_view fresh);
-  check_same_dp ~what:"view vs cold build" fresh view;
-  (* Materialisation is one-shot: looking the view up again is an exact
-     hit, no new slot, no new bytes. *)
-  let before = Strategy.Cache.resident_bytes cache in
-  let (_ : Core.Dp.t) = dp_of cache 0.01 ~horizon:100.0 in
-  Alcotest.(check int) "second lookup is an exact hit" before
-    (Strategy.Cache.resident_bytes cache);
-  Alcotest.(check int) "still one build" 1 (Strategy.Cache.builds cache)
-
-(* Bit-exact identity. An ensured DP key hits when looked up with equal
+(* Bit-exact identity. A serve slot hits when looked up with equal
    values in fresh boxes, and misses when any one of λ, C, R, D, the
-   horizon or the quantum moves up by one ulp: no exact key matches and
-   no resident table covers a longer horizon. *)
+   horizon or the quantum moves up by one ulp: no slot matches the
+   platform and quantum, or the slot does not cover the longer
+   horizon. *)
 let test_key_identity =
   let copy x = float_of_string (Printf.sprintf "%h" x) in
   let gen =
@@ -596,14 +544,11 @@ let test_key_identity =
        ~count:200 (QCheck.make gen)
        (fun (lambda, c, r, d, horizon, quantum) ->
          let cache = Strategy.Cache.create () in
-         ensure_dp cache
+         serve cache
            ~params:(Fault.Params.make ~lambda ~c ~r ~d)
            ~horizon ~quantum;
          let hit ~lambda ~c ~r ~d ~horizon ~quantum =
-           Result.is_ok
-             (Strategy.dp_table cache
-                ~params:(Fault.Params.make ~lambda ~c ~r ~d)
-                ~horizon ~quantum)
+           resident ~quantum cache (Fault.Params.make ~lambda ~c ~r ~d) horizon
          in
          let up = Float.succ in
          hit ~lambda:(copy lambda) ~c:(copy c) ~r:(copy r) ~d:(copy d)
@@ -616,24 +561,22 @@ let test_key_identity =
          && (not (hit ~lambda ~c ~r ~d ~horizon ~quantum:(up quantum)))
          && Strategy.Cache.builds cache = 1))
 
-(* C = 0.0 and C = -0.0 are bit-distinct keys: neither an exact lookup,
-   nor the horizon range query, nor warm-up's dedupe answers one from
-   the other's table. *)
+(* C = 0.0 and C = -0.0 are bit-distinct keys: neither a serve slot, at
+   its own horizon or a shorter one, nor warm-up's dedupe answers one
+   from the other's table. *)
 let test_signed_zero_keys_distinct () =
   let zero = Fault.Params.make ~lambda:0.01 ~c:0.0 ~r:5.0 ~d:0.0
   and neg_zero = Fault.Params.make ~lambda:0.01 ~c:(-0.0) ~r:5.0 ~d:0.0 in
   let cache = Strategy.Cache.create () in
-  let resident params horizon =
-    Result.is_ok (Strategy.dp_table cache ~params ~horizon ~quantum:1.0)
-  in
-  ensure_dp cache ~params:zero ~horizon:100.0 ~quantum:1.0;
-  Alcotest.(check bool) "exact lookup: C = -0.0 misses" false
+  let resident = resident cache in
+  serve cache ~params:zero ~horizon:100.0 ~quantum:1.0;
+  Alcotest.(check bool) "same horizon: C = -0.0 misses" false
     (resident neg_zero 100.0);
-  Alcotest.(check bool) "range query: C = -0.0 misses" false
+  Alcotest.(check bool) "shorter horizon: C = -0.0 misses" false
     (resident neg_zero 50.0);
-  Alcotest.(check bool) "range query: C = 0.0 answers" true
+  Alcotest.(check bool) "shorter horizon: C = 0.0 answers" true
     (resident zero 50.0);
-  ensure_dp cache ~params:neg_zero ~horizon:100.0 ~quantum:1.0;
+  serve cache ~params:neg_zero ~horizon:100.0 ~quantum:1.0;
   Alcotest.(check int) "C = -0.0 builds its own table" 2
     (Strategy.Cache.builds cache);
   let point params =
@@ -649,25 +592,18 @@ let test_signed_zero_keys_distinct () =
     (Strategy.warm_up fresh
        [ point zero; point neg_zero; point zero; point neg_zero ])
 
-(* Allocation pin: a warm exact hit renders nothing. Rendering one key
-   with %.17g costs ~280 minor words and trips the bound. *)
+(* Allocation pin: a warm serve-slot hit renders nothing. Rendering one
+   key with %.17g costs ~280 minor words and trips the bound. *)
 let test_warm_hit_allocation () =
-  let cache = Strategy.Cache.create () in
+  let cache = Strategy.Cache.create () and n = 1000 in
   lru_ensure cache 0.01;
-  let params = lru_params 0.01 and n = 1000 in
-  let lookup () =
-    match Strategy.dp_table cache ~params ~horizon:50.0 ~quantum:1.0 with
-    | Ok (_ : Core.Dp.t) -> ()
-    | Error e -> Alcotest.fail (Strategy.error_message e)
-  in
-  lookup ();
   let w0 = Gc.minor_words () in
   for _ = 1 to n do
-    lookup ()
+    lru_ensure cache 0.01
   done;
   let per_hit = (Gc.minor_words () -. w0) /. float_of_int n in
   if per_hit > 100.0 then
-    Alcotest.failf "warm dp_table hit: %.0f minor words (bound 100)" per_hit
+    Alcotest.failf "warm serve_table hit: %.0f minor words (bound 100)" per_hit
 
 let test_lru_validation () =
   List.iter
@@ -764,8 +700,6 @@ let () =
             test_warm_up_builds_each_key_once;
           Alcotest.test_case "warmed sweep bit-identical" `Slow
             test_warmed_sweep_identical;
-          Alcotest.test_case "horizon sweep builds once" `Quick
-            test_horizon_sweep_builds_once;
           test_key_identity;
           Alcotest.test_case "signed zeros are distinct keys" `Quick
             test_signed_zero_keys_distinct;

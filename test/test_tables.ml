@@ -47,56 +47,11 @@ let test_dp_bytes () =
 let test_optimal_bytes () =
   let opt = Core.Optimal.build ~params ~quantum:1.0 ~horizon:50.0 () in
   let cols = Core.Optimal.horizon_quanta opt + 1 in
-  Alcotest.(check int) "Optimal.bytes = 4 float rows" (8 * 4 * cols)
+  (* v0, v1, i0, i1 (native words) and the plan-length row (int16 at
+     this size) *)
+  Alcotest.(check int) "Optimal.bytes = 4 word rows + 1 int16 row"
+    ((8 * 4 * cols) + (2 * cols))
     (Core.Optimal.bytes opt)
-
-(* Prefix views borrow their parent's buffer, so the byte accounting
-   must charge them 0 — a cache holding a table and its views must pay
-   for the buffer exactly once. Exact arithmetic, same as above. *)
-
-let test_view_bytes () =
-  let f = Tables.F.create ~rows:4 ~cols:6 in
-  let fv = Tables.F.view f ~rows:2 ~cols:3 in
-  Alcotest.(check bool) "F view flagged" true (Tables.F.is_view fv);
-  Alcotest.(check bool) "F owner not flagged" false (Tables.F.is_view f);
-  Alcotest.(check int) "F view bytes = 0" 0 (Tables.F.bytes fv);
-  Alcotest.(check int) "F view words = 0" 0 (Tables.F.words fv);
-  Alcotest.(check int) "F owner still charged" 192 (Tables.F.bytes f);
-  (* The view indexes through the parent's stride: cell (r, c) of the
-     view is cell (r, c) of the parent. *)
-  Tables.F.set f 1 2 42.0;
-  Alcotest.(check (float 0.0)) "view reads parent cell" 42.0
-    (Tables.F.get fv 1 2);
-  Alcotest.(check int) "view keeps parent stride" 6 (Tables.F.stride fv);
-  (* Views compose, still charging nothing. *)
-  let fvv = Tables.F.view fv ~rows:2 ~cols:2 in
-  Alcotest.(check int) "view of view bytes = 0" 0 (Tables.F.bytes fvv);
-  let i = Tables.I.create ~rows:4 ~cols:6 ~max_value:100 in
-  let iv = Tables.I.view i ~rows:2 ~cols:3 in
-  Alcotest.(check bool) "I view flagged" true (Tables.I.is_view iv);
-  Alcotest.(check int) "I view bytes = 0" 0 (Tables.I.bytes iv);
-  Alcotest.(check int) "I owner still charged" 48 (Tables.I.bytes i);
-  Tables.I.set i 1 2 7;
-  Alcotest.(check int) "I view reads parent cell" 7 (Tables.I.get iv 1 2);
-  (* Shape validation: a view cannot outgrow its parent. *)
-  (match Tables.F.view fv ~rows:3 ~cols:3 with
-  | (_ : Tables.F.t) -> Alcotest.fail "oversized view accepted"
-  | exception Invalid_argument _ -> ())
-
-let test_dp_view_bytes () =
-  let dp = Core.Dp.build ~params ~quantum:1.0 ~horizon:50.0 () in
-  let view = Core.Dp.prefix_view dp ~horizon:30.0 in
-  (* tstar' = 30 at u = 1: the view's only private storage is its
-     recomputed best-k row of 31 native ints. No double-charge of the
-     parent's buffers. *)
-  Alcotest.(check bool) "flagged as view" true (Core.Dp.is_view view);
-  Alcotest.(check int) "Dp view bytes = 8 * (T'/u + 1)" (8 * 31)
-    (Core.Dp.bytes view);
-  (* Parent accounting is untouched by the view's existence. *)
-  let cols = Core.Dp.horizon_quanta dp + 1 in
-  let rows = Core.Dp.kmax dp + 1 in
-  let expect = (2 * 8 * rows * cols) + (3 * 2 * rows * cols) + (8 * cols) in
-  Alcotest.(check int) "parent bytes unchanged" expect (Core.Dp.bytes dp)
 
 let test_renewal_bytes () =
   let dist = Fault.Trace.Exponential { rate = 0.01 } in
@@ -118,8 +73,6 @@ let () =
           Alcotest.test_case "Tri/Itri" `Quick test_tri_bytes;
           Alcotest.test_case "Dp" `Quick test_dp_bytes;
           Alcotest.test_case "Optimal" `Quick test_optimal_bytes;
-          Alcotest.test_case "F/I views" `Quick test_view_bytes;
-          Alcotest.test_case "Dp prefix view" `Quick test_dp_view_bytes;
           Alcotest.test_case "Dp_renewal" `Quick test_renewal_bytes;
         ] );
     ]
