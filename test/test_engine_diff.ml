@@ -83,10 +83,13 @@ let print_case k =
     k.record
 
 (* The cubic renewal DP and the per-state optimiser of
-   variable-segments get the shorter horizons. *)
+   variable-segments get the shorter horizons; the families whose
+   tables cost nothing get long ones, so their plans outgrow the plan
+   buffer's initial 16 slots mid-run. *)
 let horizon_cap = function
   | "renewal-dp" -> 120
   | "variable-segments" -> 40
+  | "young-daly" | "first-order" -> 3000
   | _ -> 300
 
 let gen_case =
@@ -297,6 +300,195 @@ let test_every_family () =
         Alcotest.failf "%s differs from the reference" name)
     families
 
+(* {2 Paper plan writers against the frozen producers}
+
+   The plans of the four paper policies, bit for bit, against the frozen
+   list producers of Ref_engine (the DP against [Optimal.plan_q] scaled
+   by the quantum), read through a fresh buffer and through one buffer
+   shared by every query, so each plan overwrites a longer or shorter
+   one. The times left sit where the writers branch: a periodic span
+   that ends exactly [stride + C] or [C] past a checkpoint (the
+   checkpoint dates accumulated as the writer accumulates them), a span
+   on a threshold or on a multiple of C, a whole number of quanta; each
+   also one ulp either side. *)
+
+type writer = {
+  label : string;
+  policy : Sim.Policy.t;
+  reference : tleft:float -> recovering:bool -> float list;
+}
+
+let same_bits got want =
+  List.length got = List.length want
+  && List.for_all2 (fun a b -> Int64.equal (bits a) (bits b)) got want
+
+let optimal_reference table ~tleft ~recovering =
+  let u = Core.Optimal.quantum table in
+  let n = int_of_float (floor ((tleft /. u) +. 1e-9)) in
+  let n = if n < 0 then 0 else min n (Core.Optimal.horizon_quanta table) in
+  if n = 0 then []
+  else
+    List.map
+      (fun q -> float_of_int q *. u)
+      (Core.Optimal.plan_q table ~n ~delta:recovering)
+
+let paper_writers ~params ~quantum ~horizon ~numerical_up_to =
+  let first_order = Core.Threshold.table_first_order ~params ~up_to:horizon in
+  let numerical = Core.Threshold.table_numerical ~params ~up_to:numerical_up_to in
+  let optimal = Core.Optimal.build ~params ~quantum ~horizon () in
+  let period = Core.Model.young_daly_period params in
+  let listed (p : R.policy) = p.R.plan in
+  [
+    {
+      label = "YoungDaly";
+      policy = Core.Policies.young_daly ~params;
+      reference = listed (R.periodic ~params ~period);
+    };
+    {
+      label = "FirstOrder";
+      policy =
+        Core.Policies.of_threshold_table ~name:"FirstOrder" ~params first_order;
+      reference = listed (R.of_threshold_table ~params first_order);
+    };
+    {
+      label = "NumericalOptimum";
+      policy =
+        Core.Policies.of_threshold_table ~name:"NumericalOptimum" ~params
+          numerical;
+      reference = listed (R.of_threshold_table ~params numerical);
+    };
+    {
+      label = "DynamicProgramming";
+      policy = Core.Optimal.policy optimal;
+      reference = optimal_reference optimal;
+    };
+  ]
+
+let around x = [ Float.pred x; x; Float.succ x ]
+
+(* Times left on every branch boundary of the writers: for the periodic
+   plans, after each of the first 20 checkpoints, then every [every]-th
+   up to [strides]. *)
+let boundary_tlefts ~params ~quantum ~strides ~every ~thresholds =
+  let c = params.Fault.Params.c and r = params.Fault.Params.r in
+  let stride = Core.Model.young_daly_period params +. c in
+  let periodic base =
+    (* The writer's own checkpoint dates: base, base + stride, ... *)
+    let rec go acc last k =
+      if k > strides then acc
+      else
+        let acc =
+          if k <= 20 || k mod every = 0 || k = strides then
+            around (last +. (stride +. c)) @ around (last +. c) @ acc
+          else acc
+        in
+        go acc (last +. stride) (k + 1)
+    in
+    go [] base 0
+  in
+  let spans base =
+    List.concat_map
+      (fun t -> around (base +. t))
+      (Array.to_list thresholds
+      @ List.init 12 (fun m -> float_of_int (m + 1) *. c))
+  in
+  let quanta =
+    List.concat_map
+      (fun n -> around (float_of_int n *. quantum))
+      [ 0; 1; 2; 3; 7; 16; 17; 100; 999 ]
+  in
+  List.filter
+    (fun t -> t >= 0.0)
+    (periodic 0.0 @ periodic r @ spans 0.0 @ spans r @ quanta)
+
+let writers_agree writers tlefts =
+  let shared = Sim.Plan.create () in
+  List.for_all
+    (fun w ->
+      List.for_all
+        (fun tleft ->
+          List.for_all
+            (fun recovering ->
+              let want = w.reference ~tleft ~recovering in
+              let fresh = Plans.of_policy w.policy ~tleft ~recovering in
+              w.policy.Sim.Policy.plan shared ~tleft ~recovering;
+              let reused = Sim.Plan.to_list shared in
+              (same_bits fresh want && same_bits reused want)
+              || QCheck.Test.fail_reportf
+                   "%s tleft=%h recovering=%b: %d offsets (fresh), %d \
+                    (reused), reference %d"
+                   w.label tleft recovering (List.length fresh)
+                   (List.length reused) (List.length want))
+            [ false; true ])
+        tlefts)
+    writers
+
+let gen_writer_case =
+  let open QCheck.Gen in
+  let* lambda = float_range 0.0005 0.05 in
+  let* c = float_range 0.5 20.0 in
+  let* r = oneof [ return 0.0; float_range 0.0 20.0 ] in
+  let* quantum = oneofl [ 1.0; 0.5; 2.0; 0.75 ] in
+  let* horizon = float_range (c +. 1.0) 600.0 in
+  return (lambda, c, r, quantum, horizon)
+
+let test_writers_bit_identical =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"paper writers bit-identical to the frozen producers"
+       ~count:150
+       (QCheck.make gen_writer_case ~print:(fun (l, c, r, u, h) ->
+            Printf.sprintf "lambda=%h c=%h r=%h quantum=%g horizon=%h" l c r u
+              h))
+       (fun (lambda, c, r, quantum, horizon) ->
+         let params = Fault.Params.make ~lambda ~c ~r ~d:1.0 in
+         let writers =
+           paper_writers ~params ~quantum ~horizon
+             ~numerical_up_to:(Float.min horizon 300.0)
+         in
+         let thresholds =
+           (Core.Threshold.table_first_order ~params ~up_to:horizon)
+             .Core.Threshold.thresholds
+         in
+         writers_agree writers
+           (horizon
+           :: boundary_tlefts ~params ~quantum ~strides:40 ~every:1 ~thresholds)))
+
+(* Plans far past the buffer's 16 initial slots: over 10^4 periodic and
+   threshold offsets, hundreds of DP ones. *)
+let test_long_plans () =
+  let params = Fault.Params.make ~lambda:0.05 ~c:1.0 ~r:0.5 ~d:1.0 in
+  let horizon = 1.2e5 in
+  let first_order = Core.Threshold.table_first_order ~params ~up_to:horizon in
+  let writers =
+    paper_writers ~params ~quantum:0.5 ~horizon:1000.0 ~numerical_up_to:200.0
+    |> List.map (fun w ->
+           if w.label = "FirstOrder" then
+             {
+               w with
+               policy =
+                 Core.Policies.of_threshold_table ~name:"FirstOrder" ~params
+                   first_order;
+               reference = (R.of_threshold_table ~params first_order).R.plan;
+             }
+           else w)
+  in
+  let tlefts =
+    [ 1000.0; 5000.0; 9.9e4; horizon ]
+    @ boundary_tlefts ~params ~quantum:0.5 ~strides:16_000 ~every:1999
+        ~thresholds:[||]
+    |> List.filter (fun t -> t <= horizon)
+  in
+  let longest =
+    List.fold_left
+      (fun acc w ->
+        max acc
+          (List.length (Plans.of_policy w.policy ~tleft:horizon ~recovering:false)))
+      0 writers
+  in
+  if longest < 10_000 then Alcotest.failf "longest plan %d < 10^4" longest;
+  if not (writers_agree writers tlefts) then
+    Alcotest.fail "writers differ from the frozen producers"
+
 let () =
   Alcotest.run "engine_diff"
     [
@@ -304,5 +496,10 @@ let () =
         [
           Alcotest.test_case "every family" `Quick test_every_family;
           test_bit_identical;
+        ] );
+      ( "writers",
+        [
+          test_writers_bit_identical;
+          Alcotest.test_case "long plans" `Quick test_long_plans;
         ] );
     ]

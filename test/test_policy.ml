@@ -125,8 +125,101 @@ let policy_emits_valid_plans name make_policy =
          | exception Invalid_argument msg ->
              QCheck.Test.fail_reportf "invalid plan: %s" msg))
 
+(* {2 The validator against the frozen reference}
+
+   Adversarial plans for [validate_plan]: offsets drawn next to every
+   bound the contract compares against (one ulp either side of
+   [tleft + eps], of [prev + (c - eps)] and of [base + c - eps]), equal
+   neighbours, signed zeros, infinities, and junk in the stale slots
+   past [len]. [Ref_engine.validate_plan] is the list-based validator
+   as it stood before the one-pass rewrite. *)
+
+let validation_verdict f =
+  match f () with () -> Ok () | exception Invalid_argument msg -> Error msg
+
+let around x = QCheck.Gen.oneofl [ Float.pred x; x; Float.succ x ]
+
+(* One plan of [len] offsets for [(params, tleft)]; the bounds assume a
+   fresh start when [recovering_bias] is false, a recovery otherwise,
+   and the plan is checked under both flags. *)
+let adversarial_plan_gen ~params ~tleft ~recovering_bias ~len =
+  let open QCheck.Gen in
+  let c = params.Fault.Params.c and r = params.Fault.Params.r in
+  let base = if recovering_bias then r else 0.0 in
+  let eps = 1e-9 in
+  let next prev =
+    frequency
+      [
+        (6, map (fun x -> prev +. c +. x) (float_range 0.0 (2.0 *. c +. 1.0)));
+        (2, around (prev +. (c -. eps)));
+        (2, around (tleft +. eps));
+        (2, around (base +. c -. eps));
+        (1, return prev);
+        (1, oneofl [ 0.0; -0.0; infinity; neg_infinity ]);
+        (1, float_range (-10.0) (tleft +. 10.0));
+      ]
+  in
+  let rec go acc prev k =
+    if k = 0 then return (List.rev acc)
+    else next prev >>= fun off -> go (off :: acc) off (k - 1)
+  in
+  go [] 0.0 len
+
+let adversarial_gen =
+  QCheck.Gen.(
+    let* lambda = float_range 1e-5 0.05 in
+    let* c = frequency [ (1, return 0.0); (8, float_range 0.5 50.0) ] in
+    let* r = frequency [ (1, return 0.0); (4, float_range 0.0 50.0) ] in
+    let params = Fault.Params.make ~lambda ~c ~r ~d:1.0 in
+    let* tleft = float_range 0.0 3000.0 in
+    let* recovering_bias = bool in
+    let* len = int_range 0 40 in
+    let* offsets = adversarial_plan_gen ~params ~tleft ~recovering_bias ~len in
+    let* stale =
+      list_size (int_range 0 8)
+        (oneofl [ nan; infinity; neg_infinity; -1.0; 0.0; tleft +. 1.0 ])
+    in
+    return (params, tleft, offsets, stale))
+
+let print_adversarial (params, tleft, offsets, stale) =
+  let floats l = String.concat "; " (List.map (Printf.sprintf "%h") l) in
+  Printf.sprintf "%s tleft=%h plan=[%s] stale=[%s]"
+    (Fault.Params.to_string params) tleft (floats offsets) (floats stale)
+
+(* The plan in a buffer whose slots past [len] hold [stale]. *)
+let with_stale offsets stale =
+  let p = Plans.of_list (offsets @ stale) in
+  p.Sim.Plan.len <- List.length offsets;
+  p
+
+let matches_reference (params, tleft, offsets, stale) =
+  List.for_all
+    (fun recovering ->
+      let got =
+        validation_verdict (fun () ->
+            P.validate_plan ~params ~tleft ~recovering
+              (with_stale offsets stale))
+      and want =
+        validation_verdict (fun () ->
+            Ref_engine.validate_plan ~params ~tleft ~recovering offsets)
+      in
+      got = want
+      || QCheck.Test.fail_reportf "recovering=%b: got %s, reference %s"
+           recovering
+           (match got with Ok () -> "accepted" | Error m -> m)
+           (match want with Ok () -> "accepted" | Error m -> m))
+    [ false; true ]
+
+let test_validator_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"validator matches the frozen reference"
+       ~count:4000
+       (QCheck.make adversarial_gen ~print:print_adversarial)
+       matches_reference)
+
 let qcheck_tests =
   [
+    test_validator_matches_reference;
     policy_emits_valid_plans "single_final plans are valid" (fun params ->
         P.single_final ~params);
     policy_emits_valid_plans "single_at plans are valid" (fun params ->
