@@ -98,46 +98,40 @@ let plan_length t ~n ~delta =
 
 let clamp_n t tleft =
   let n = int_of_float (floor ((tleft /. t.u) +. 1e-9)) in
-  if n < 0 then 0 else min n t.tstar
+  if n < 0 then 0 else Int.min n t.tstar
 
 let value t ~tleft = value_q t ~n:(clamp_n t tleft) ~delta:false
 
 (* Unrolls the argmax tables from state (n, δ) into [p]: the completion
-   quantum of each checkpoint, as a float (exact). Every segment spans
-   at least one quantum, so at most [n] of them. *)
-let unroll_q t (p : Sim.Plan.t) ~n ~delta =
-  Sim.Plan.clear p;
+   quantum of each checkpoint times [scale], stored once. Every segment
+   spans at least one quantum, so at most [n] of them. Inlined into both
+   callers, so [scale] stays unboxed. *)
+let[@inline] unroll t (p : Sim.Plan.t) ~n ~delta ~scale =
+  p.len <- 0;
   Sim.Plan.reserve p n;
-  let n = ref n and delta = ref delta and base = ref 0 in
-  let go = ref true in
-  while !go do
-    let i = (if !delta then t.i1 else t.i0).(!n) in
-    if i = 0 then go := false
-    else begin
-      base := !base + i;
-      p.offsets.(p.len) <- float_of_int !base;
-      p.len <- p.len + 1;
-      n := !n - i;
-      delta := false
-    end
-  done
+  let offs = p.offsets in
+  let n = ref n and i = ref (if delta then t.i1 else t.i0).(n) in
+  let base = ref 0 and len = ref 0 in
+  while !i > 0 do
+    base := !base + !i;
+    offs.(!len) <- float_of_int !base *. scale;
+    incr len;
+    n := !n - !i;
+    (* After the first checkpoint the plan continues from δ = 0. *)
+    i := t.i0.(!n)
+  done;
+  p.len <- !len
 
 let plan_q t ~n ~delta =
   check_n t n;
   let p = Sim.Plan.create () in
-  unroll_q t p ~n ~delta;
+  unroll t p ~n ~delta ~scale:1.0;
   List.map int_of_float (Sim.Plan.to_list p)
 
 let policy t =
   let plan (p : Sim.Plan.t) ~tleft ~recovering =
     let n = clamp_n t tleft in
-    if n = 0 then Sim.Plan.clear p
-    else begin
-      unroll_q t p ~n ~delta:recovering;
-      for i = 0 to p.len - 1 do
-        p.offsets.(i) <- p.offsets.(i) *. t.u
-      done
-    end
+    if n = 0 then p.len <- 0 else unroll t p ~n ~delta:recovering ~scale:t.u
   in
   Sim.Policy.make ~name:"OptimalUnrestricted" plan
 

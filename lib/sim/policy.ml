@@ -16,22 +16,50 @@ let set_on_prediction p f = { p with on_prediction = Some f }
    arithmetic, so exact comparisons would reject valid plans. *)
 let eps = 1e-9
 
-let validate_plan ~params ~tleft ~recovering (p : Plan.t) =
+(* The contract's checks on offset [i] ([prev] is the offset before it,
+   0 for the first), in the order whose first failure names the error:
+   raises with that message, or returns if the offset passes them all.
+   [validate_plan] calls it only for an offset its fast comparisons do
+   not clear, so a valid plan never boxes these arguments. NaN fails
+   every comparison, so it has a check of its own; ±∞ fail the bounds. *)
+let check_offset ~params ~tleft ~recovering ~prev i off =
   let c = params.Fault.Params.c and r = params.Fault.Params.r in
   let base = if recovering then r else 0.0 in
   let fail fmt = Format.kasprintf invalid_arg fmt in
-  let prev = ref 0.0 in
-  for i = 0 to p.len - 1 do
-    let off = p.offsets.(i) in
-    if off > tleft +. eps then
-      fail "plan: checkpoint completion %g exceeds tleft %g" off tleft;
-    if !prev = 0.0 && off < base +. c -. eps then
-      fail "plan: first checkpoint %g before base %g + C %g" off base c;
-    if !prev > 0.0 && off -. !prev < c -. eps then
-      fail "plan: segment [%g, %g] shorter than C = %g" !prev off c;
-    if off <= !prev then fail "plan: offsets not increasing at %g" off;
-    prev := off
-  done
+  if Float.is_nan off then fail "plan: offset %d is NaN" i;
+  if off > tleft +. eps then
+    fail "plan: checkpoint completion %g exceeds tleft %g" off tleft;
+  if prev = 0.0 && off < base +. c -. eps then
+    fail "plan: first checkpoint %g before base %g + C %g" off base c;
+  if prev > 0.0 && off -. prev < c -. eps then
+    fail "plan: segment [%g, %g] shorter than C = %g" prev off c;
+  if off <= prev then fail "plan: offsets not increasing at %g" off
+
+(* One pass with the bounds hoisted and the first offset peeled. Each
+   fast test is the negation of a contract check, written so that NaN
+   (which fails every comparison) fails it too; an offset that does not
+   clear them all goes to [check_offset]. A first offset that passes is
+   positive, so from the second on [prev > 0]: the peeled first offset
+   gets the [base + C] check and every later one the segment check,
+   exactly as [check_offset] chooses them. *)
+let validate_plan ~params ~tleft ~recovering (p : Plan.t) =
+  let len = p.len in
+  if len > 0 then begin
+    let offs = p.offsets in
+    let c = params.Fault.Params.c in
+    let base = if recovering then params.Fault.Params.r else 0.0 in
+    let hi = tleft +. eps and lo = base +. c -. eps and gap = c -. eps in
+    let first = offs.(0) in
+    if not (first <= hi && first >= lo && first > 0.0) then
+      check_offset ~params ~tleft ~recovering ~prev:0.0 0 first;
+    let prev = ref first in
+    for i = 1 to len - 1 do
+      let off = offs.(i) in
+      if not (off <= hi && off -. !prev >= gap && off > !prev) then
+        check_offset ~params ~tleft ~recovering ~prev:!prev i off;
+      prev := off
+    done
+  end
 
 let query policy p ~params ~tleft ~recovering =
   policy.plan p ~tleft ~recovering;
@@ -74,27 +102,52 @@ let single_at ~params ~offset_from_end =
   in
   make ~name:(Printf.sprintf "SingleAt(-%g)" offset_from_end) plan
 
-let equal_plan ~params ~count p ~tleft ~recovering =
-  let c = params.Fault.Params.c and r = params.Fault.Params.r in
-  let base = if recovering then r else 0.0 in
-  let span = tleft -. base in
-  Plan.clear p;
-  if span < c || count < 1 then ()
-  else begin
-    (* Each segment must be able to hold its checkpoint. *)
-    let n = min count (int_of_float (floor (span /. c))) in
-    let n = max n 1 in
-    let seg = span /. float_of_int n in
-    Plan.reserve p n;
-    for i = 0 to n - 1 do
-      p.offsets.(i) <- base +. (float_of_int (i + 1) *. seg)
-    done;
-    p.len <- n
-  end
+(* The equal-segments plan of [count] segments over the [span] after
+   [base], capped at the number of checkpoints that fit: reserves once,
+   stores each offset once. Inlined into each writer below, so [base]
+   and [span] stay unboxed. *)
+let[@inline] write_equal (p : Plan.t) ~c ~base ~span ~count =
+  (* Each segment must be able to hold its checkpoint. *)
+  let n = Int.min count (int_of_float (floor (span /. c))) in
+  let n = Int.max n 1 in
+  let seg = span /. float_of_int n in
+  p.len <- 0;
+  Plan.reserve p n;
+  let offs = p.offsets in
+  for i = 0 to n - 1 do
+    offs.(i) <- base +. (float_of_int (i + 1) *. seg)
+  done;
+  p.len <- n
 
 let equal_segments ~params ~count =
   if count < 1 then invalid_arg "Policy.equal_segments: count < 1";
-  make ~name:(Printf.sprintf "Equal(%d)" count) (equal_plan ~params ~count)
+  let c = params.Fault.Params.c and r = params.Fault.Params.r in
+  let plan (p : Plan.t) ~tleft ~recovering =
+    let base = if recovering then r else 0.0 in
+    let span = tleft -. base in
+    if span < c then p.len <- 0 else write_equal p ~c ~base ~span ~count
+  in
+  make ~name:(Printf.sprintf "Equal(%d)" count) plan
+
+let threshold_segments ~name ~params (thresholds : float array) =
+  let c = params.Fault.Params.c and r = params.Fault.Params.r in
+  let plan (p : Plan.t) ~tleft ~recovering =
+    let base = if recovering then r else 0.0 in
+    let span = tleft -. base in
+    if span < c then p.len <- 0
+    else begin
+      (* The count: the largest [n] with [thresholds.(n - 1) <= span],
+         by the binary search of [Core.Threshold.segments_for], written
+         here so that [span] is not boxed for a call. *)
+      let lo = ref 0 and hi = ref (Array.length thresholds - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        if thresholds.(mid) <= span then lo := mid else hi := mid - 1
+      done;
+      write_equal p ~c ~base ~span ~count:(!lo + 1)
+    end
+  in
+  make ~name plan
 
 let two_checkpoints ~params ~alpha =
   if alpha <= 0.0 || alpha >= 1.0 then
@@ -119,29 +172,33 @@ let two_checkpoints ~params ~alpha =
 let periodic ~params ~period =
   if period <= 0.0 then invalid_arg "Policy.periodic: period must be positive";
   let c = params.Fault.Params.c and r = params.Fault.Params.r in
-  let plan p ~tleft ~recovering =
-    Plan.clear p;
+  let plan (p : Plan.t) ~tleft ~recovering =
     let base = if recovering then r else 0.0 in
-    if tleft -. base < c then ()
+    if tleft -. base < c then p.len <- 0
     else begin
       (* Checkpoints complete every [period + c]; when the remaining
          stretch cannot hold a further full period, the final checkpoint
-         completes exactly at the end of the reservation. *)
+         completes exactly at the end of the reservation, if even a bare
+         checkpoint fits. Each step advances [last] by [stride] (up to
+         rounding), so the plan holds at most [span / stride + 2]
+         offsets; the reservation adds one for the rounding of that
+         quotient, and the stores stay bounds-checked. *)
       let stride = period +. c in
-      let last = ref base and building = ref true in
-      while !building do
-        let rem = tleft -. !last in
-        if rem <= stride +. c then begin
-          (* Final (possibly short) segment, checkpoint at the end; if
-             even a bare checkpoint does not fit, stop here. *)
-          if rem < c then () else add p tleft;
-          building := false
-        end
-        else begin
-          last := !last +. stride;
-          add p !last
-        end
-      done
+      let tail = stride +. c in
+      p.len <- 0;
+      Plan.reserve p (int_of_float ((tleft -. base) /. stride) + 3);
+      let offs = p.offsets in
+      let last = ref base and n = ref 0 in
+      while tleft -. !last > tail do
+        last := !last +. stride;
+        offs.(!n) <- !last;
+        incr n
+      done;
+      if tleft -. !last >= c then begin
+        offs.(!n) <- tleft;
+        incr n
+      end;
+      p.len <- !n
     end
   in
   make ~name:(Printf.sprintf "Periodic(%g)" period) plan

@@ -68,7 +68,9 @@ val set_on_prediction :
 val validate_plan :
   params:Fault.Params.t -> tleft:float -> recovering:bool -> Plan.t -> unit
 (** Raises [Invalid_argument] if the plan violates the contract above
-    (with a small numerical tolerance). *)
+    (with a small numerical tolerance), naming the first offending
+    offset. Every non-finite offset is rejected: ±∞ by the bounds, NaN
+    (which no comparison catches) with a message of its own. *)
 
 val query :
   t -> Plan.t -> params:Fault.Params.t -> tleft:float -> recovering:bool ->
@@ -101,12 +103,15 @@ val equal_segments : params:Fault.Params.t -> count:int -> t
     regardless of [tleft]. Used by the Section 4.3 and Section 5 gain
     analyses. If fewer than [count] checkpoints fit, uses as many as fit. *)
 
-val equal_plan :
-  params:Fault.Params.t -> count:int -> Plan.t -> tleft:float ->
-  recovering:bool -> unit
-(** The plan of [equal_segments ~params ~count], written straight into
-    the buffer (empty when [count < 1]). The threshold policies of
-    [Core.Policies] pick [count] per query and call this directly. *)
+val threshold_segments :
+  name:string -> params:Fault.Params.t -> float array -> t
+(** {!equal_segments} with the count chosen per query from
+    nondecreasing [thresholds] whose first entry is 0: over the [span]
+    left after the initial recovery (empty plan when [span < c]), the
+    largest [n] with [thresholds.(n - 1) <= span] (1 when [thresholds]
+    is empty). The threshold heuristics of [Core.Policies] are this
+    policy over their threshold tables ([Core.Threshold.segments_for]
+    is the same count). *)
 
 val two_checkpoints : params:Fault.Params.t -> alpha:float -> t
 (** "Strat2(α)" of Section 4.3: first checkpoint completes at

@@ -201,6 +201,51 @@ let test_minor_words_per_run () =
           per_run)
     (Core.Policies.all_paper ~params ~quantum:1.0 ~horizon)
 
+(* Allocation pin for one re-plan: a warm [Policy.query] (plan written
+   into a buffer already large enough, then validated) of each paper
+   strategy allocates nothing of its own. The times left are boxed up
+   front, as the engine boxes its [tleft] once per query; anything the
+   writer or the validator boxes shows up here word for word. *)
+let test_query_allocates_nothing () =
+  let params = Fault.Params.paper ~lambda:0.01 ~c:10.0 ~d:0.0 in
+  let horizon = 2000.0 in
+  let queries =
+    Array.init 1000 (fun i ->
+        (Float.of_int (37 + (i * 1999 mod 1960)) +. 0.25, i mod 3 = 0))
+  in
+  let buf = Sim.Plan.create () in
+  List.iter
+    (fun policy ->
+      let query (tleft, recovering) =
+        P.query policy buf ~params ~tleft ~recovering
+      in
+      Array.iter query queries;
+      let w0 = Gc.minor_words () in
+      Array.iter query queries;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0))
+        (policy.P.name ^ ": minor words of 1000 warm queries")
+        0.0 words)
+    (Core.Policies.all_paper ~params ~quantum:1.0 ~horizon)
+
+(* A NaN offset passes every comparison of the plan contract; the
+   engine must refuse the plan rather than replay it (the saved work
+   would read NaN). *)
+let test_nan_plan_rejected () =
+  List.iter
+    (fun (offsets, msg) ->
+      let bad =
+        P.make ~name:"nan" (fun p ~tleft:_ ~recovering:_ ->
+            Plans.fill p offsets)
+      in
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (run ~policy:bad ~horizon:100.0 (quiet_trace ()) : E.outcome)))
+    [
+      ([ nan ], "plan: offset 0 is NaN");
+      ([ 20.0; nan ], "plan: offset 1 is NaN");
+      ([ nan; 50.0 ], "plan: offset 0 is NaN");
+    ]
+
 (* A non-finite horizon would have a periodic plan grow without end. *)
 let test_non_finite_horizon_rejected () =
   List.iter
@@ -764,6 +809,7 @@ let () =
           Alcotest.test_case "proportion of work" `Quick test_proportion_metric;
           Alcotest.test_case "malformed policies rejected" `Quick
             test_malformed_policy_rejected;
+          Alcotest.test_case "NaN plans rejected" `Quick test_nan_plan_rejected;
           Alcotest.test_case "non-finite horizon rejected" `Quick
             test_non_finite_horizon_rejected;
           Alcotest.test_case "nested run keeps the outer plan" `Quick
@@ -773,6 +819,8 @@ let () =
         [
           Alcotest.test_case "paper strategies stay off the minor heap" `Quick
             test_minor_words_per_run;
+          Alcotest.test_case "a warm re-plan allocates nothing" `Quick
+            test_query_allocates_nothing;
         ] );
       ("properties", qcheck_tests);
     ]

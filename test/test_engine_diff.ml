@@ -428,7 +428,7 @@ let gen_writer_case =
   let* lambda = float_range 0.0005 0.05 in
   let* c = float_range 0.5 20.0 in
   let* r = oneof [ return 0.0; float_range 0.0 20.0 ] in
-  let* quantum = oneofl [ 1.0; 0.5; 2.0; 0.75 ] in
+  let* quantum = oneofl [ 1.0; 0.5; 2.0; 0.75; 0.3; 1.7 ] in
   let* horizon = float_range (c +. 1.0) 600.0 in
   return (lambda, c, r, quantum, horizon)
 

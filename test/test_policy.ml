@@ -32,6 +32,28 @@ let test_validate_rejects () =
   expect_invalid "segment shorter than C" [ 30.0; 35.0 ] ~recovering:false;
   expect_invalid "not increasing" [ 50.0; 50.0 ] ~recovering:false
 
+(* NaN fails every comparison, so only a check of its own catches it;
+   the message names the offset. *)
+let test_validate_rejects_nan () =
+  let expect msg offsets ~recovering =
+    Alcotest.check_raises
+      (Printf.sprintf "[%s]"
+         (String.concat "; " (List.map string_of_float offsets)))
+      (Invalid_argument msg)
+      (fun () ->
+        P.validate_plan ~params ~tleft:100.0 ~recovering (Plans.of_list offsets))
+  in
+  List.iter
+    (fun recovering ->
+      expect "plan: offset 0 is NaN" [ nan ] ~recovering;
+      expect "plan: offset 1 is NaN" [ 20.0; nan ] ~recovering;
+      expect "plan: offset 0 is NaN" [ nan; 50.0 ] ~recovering;
+      expect "plan: offset 2 is NaN" [ 20.0; 50.0; nan; 100.0 ] ~recovering)
+    [ false; true ];
+  (* An earlier offset that breaks the contract still names the error. *)
+  expect "plan: checkpoint completion 120 exceeds tleft 100" [ 120.0; nan ]
+    ~recovering:false
+
 let test_no_checkpoint () =
   Alcotest.(check offsets) "always empty" []
     (plan P.no_checkpoint ~tleft:1000.0 ~recovering:false)
@@ -217,9 +239,59 @@ let test_validator_matches_reference =
        (QCheck.make adversarial_gen ~print:print_adversarial)
        matches_reference)
 
+(* The same plans with NaN written over some offsets. The reference
+   accepts NaN, so it can only word the error of an offset before the
+   first NaN; past that, the plan must be refused with the NaN message
+   naming that offset. *)
+let nan_gen =
+  QCheck.Gen.(
+    let* params, tleft, offsets, stale = adversarial_gen in
+    let len = List.length offsets in
+    let* holes = list_size (int_range 1 3) (int_bound (max 0 (len - 1))) in
+    let offsets =
+      if len = 0 then [ nan ]
+      else List.mapi (fun i x -> if List.mem i holes then nan else x) offsets
+    in
+    return (params, tleft, offsets, stale))
+
+let nan_raises_its_message (params, tleft, offsets, stale) =
+  let rec prefix i = function
+    | x :: rest when not (Float.is_nan x) ->
+        let before, at = prefix (i + 1) rest in
+        (x :: before, at)
+    | _ -> ([], i)
+  in
+  let before, at = prefix 0 offsets in
+  List.for_all
+    (fun recovering ->
+      let got =
+        validation_verdict (fun () ->
+            P.validate_plan ~params ~tleft ~recovering
+              (with_stale offsets stale))
+      and want =
+        match
+          validation_verdict (fun () ->
+              Ref_engine.validate_plan ~params ~tleft ~recovering before)
+        with
+        | Ok () -> Error (Printf.sprintf "plan: offset %d is NaN" at)
+        | Error _ as e -> e
+      in
+      got = want
+      || QCheck.Test.fail_reportf "recovering=%b: got %s, want %s" recovering
+           (match got with Ok () -> "accepted" | Error m -> m)
+           (match want with Ok () -> "accepted" | Error m -> m))
+    [ false; true ]
+
+let test_nan_plans_refused =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"NaN offsets raise their own message" ~count:2000
+       (QCheck.make nan_gen ~print:print_adversarial)
+       nan_raises_its_message)
+
 let qcheck_tests =
   [
     test_validator_matches_reference;
+    test_nan_plans_refused;
     policy_emits_valid_plans "single_final plans are valid" (fun params ->
         P.single_final ~params);
     policy_emits_valid_plans "single_at plans are valid" (fun params ->
@@ -239,6 +311,8 @@ let () =
         [
           Alcotest.test_case "accepts valid plans" `Quick test_validate_accepts;
           Alcotest.test_case "rejects invalid plans" `Quick test_validate_rejects;
+          Alcotest.test_case "rejects NaN offsets" `Quick
+            test_validate_rejects_nan;
         ] );
       ( "generic policies",
         [
